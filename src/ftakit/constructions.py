@@ -249,17 +249,64 @@ def det_size(dfta: Dfta) -> int:
     return dfta.size
 
 
+def reachable_mask(start: np.ndarray, a1: np.ndarray, a2: np.ndarray,
+                   tg: np.ndarray) -> np.ndarray:
+    """Least fixpoint of accessibility over state indices.
+
+    ``start`` marks the targets of nullary rules and binary rule k reads
+    ``a1[k], a2[k] -> tg[k]``.  Neither fixpoint modifies its arguments.
+    """
+    reach = start.copy()
+    while True:
+        fired = tg[reach[a1] & reach[a2]]
+        if reach[fired].all():
+            return reach
+        reach[fired] = True
+
+
+def coreachable_mask(start: np.ndarray, reach: np.ndarray, a1: np.ndarray,
+                     a2: np.ndarray, tg: np.ndarray) -> np.ndarray:
+    """Least fixpoint of co-accessibility from ``start``, over state indices.
+
+    An argument of a rule joins when the rule's target has joined and the
+    sibling argument is in ``reach`` (a context can only be filled with
+    trees that actually evaluate somewhere).
+    """
+    core = start.copy()
+    while True:
+        useful = core[tg]
+        added = np.concatenate((a1[useful & reach[a2]], a2[useful & reach[a1]]))
+        if core[added].all():
+            return core
+        core[added] = True
+
+
+def _fixpoints(fta: Fta, what: str, from_: Iterable[int] | None = None):
+    """Reachable states, and states co-reachable from ``from_`` (default: the finals)."""
+    _require_binary_alphabet(fta, what)
+    ids = np.array(sorted(fta.states), dtype=np.int64)
+    index = {q: k for k, q in enumerate(ids.tolist())}
+    nullary = np.zeros(len(ids), dtype=bool)
+    binary = []
+    for t in fta.transitions:
+        if t.args:
+            binary.append((index[t.args[0]], index[t.args[1]], index[t.target]))
+        else:
+            nullary[index[t.target]] = True
+    a1, a2, tg = np.array(binary, dtype=np.intp).reshape(-1, 3).T
+    start = np.zeros(len(ids), dtype=bool)
+    for q in fta.finals if from_ is None else from_:
+        if q not in index:
+            raise InputError(f"{what}: {q} is not a state of the automaton")
+        start[index[q]] = True
+    reach = reachable_mask(nullary, a1, a2, tg)
+    core = coreachable_mask(start, reach, a1, a2, tg)
+    return StateSet.from_iter(ids[reach].tolist()), StateSet.from_iter(ids[core].tolist())
+
+
 def reachable(fta: Fta) -> StateSet:
     """States some ground tree can evaluate into (least fixpoint)."""
-    reach: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for t in fta.transitions:
-            if t.target not in reach and all(a in reach for a in t.args):
-                reach.add(t.target)
-                changed = True
-    return StateSet.from_iter(reach)
+    return _fixpoints(fta, "reachable")[0]
 
 
 def coreachable(fta: Fta, from_: StateSet | Iterable[int] | None = None) -> StateSet:
@@ -267,41 +314,22 @@ def coreachable(fta: Fta, from_: StateSet | Iterable[int] | None = None) -> Stat
 
     A state joins the fixpoint when a rule mentions it in an argument
     position, the rule's target is already co-reachable, and every sibling
-    argument is reachable (a context can only be filled with trees that
-    actually evaluate somewhere).
+    argument is reachable.  Every state in ``from_`` must be a state of
+    ``fta``.
     """
-    reach = reachable(fta)
-    if from_ is None:
-        core: set[int] = set(fta.finals)
-    else:
-        core = set(from_)
-    changed = True
-    while changed:
-        changed = False
-        for t in fta.transitions:
-            if t.target not in core:
-                continue
-            for i, q in enumerate(t.args):
-                if q in core:
-                    continue
-                if all(s in reach for j, s in enumerate(t.args) if j != i):
-                    core.add(q)
-                    changed = True
-    return StateSet.from_iter(core)
+    return _fixpoints(fta, "coreachable", from_)[1]
 
 
 def is_trim(fta: Fta) -> bool:
     """True iff every state is both reachable and co-reachable."""
-    everything = StateSet.from_iter(fta.states)
-    if reachable(fta) != everything:
-        return False
-    return coreachable(fta) == everything
+    reach, core = _fixpoints(fta, "is_trim")
+    return reach == core == StateSet.from_iter(fta.states)
 
 
 def trim(fta: Fta) -> Fta:
     """Restrict the automaton to its useful (reachable and co-reachable) states."""
-    useful = reachable(fta) & coreachable(fta)
-    keep = set(useful)
+    reach, core = _fixpoints(fta, "trim")
+    keep = reach & core
     return Fta(
         states=frozenset(keep),
         alphabet=fta.alphabet,

@@ -19,6 +19,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -175,7 +176,6 @@ def run_point(
     final_prob: float = 0.5,
     x: int | None = None,
     max_attempts: int = SWEEP_MAX_ATTEMPTS,
-    subset_budget: int | None = None,
 ) -> PointRecord:
     """Generate, determinize, and minimize ``trials`` trim automata at one density.
 
@@ -197,7 +197,6 @@ def run_point(
         max_attempts=max_attempts,
     )
     base = seed.child(_POINT_TAG, setting.code, n, float_key(d2), float_key(d0))
-    budget = subset_budget if subset_budget is not None else 1 << n
     det_sizes: list[int] = []
     canonical_sizes: list[int] = []
     attempts_total = 0
@@ -210,7 +209,7 @@ def run_point(
             exhausted = True
             break
         attempts_total += attempts
-        dfta = determinize(fta, max_subsets=budget)
+        dfta = determinize(fta)
         det_sizes.append(dfta.size)
         canonical = minimize(dfta).size
         assert canonical >= 1, "a trim automaton accepts at least one tree"
@@ -244,21 +243,19 @@ class SweepResult:
         raise KeyError(f"no grid point x={x}")
 
 
-def _point_task(kwargs: dict) -> PointRecord:
-    return run_point(**kwargs)
-
-
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     return max(1, workers)
 
 
-def _map_tasks(task_fn, tasks: list[dict], workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        return [task_fn(t) for t in tasks]
+def _call_in_order(calls: list, workers: int) -> list:
+    """Results of zero-argument picklable calls, in order, on up to ``workers`` processes."""
+    if workers <= 1 or len(calls) <= 1:
+        return [call() for call in calls]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task_fn, tasks))
+        futures = [pool.submit(call) for call in calls]
+        return [f.result() for f in futures]
 
 
 def run_sweep(
@@ -270,9 +267,7 @@ def run_sweep(
     trials: int = 40,
     d0: float = 0.5,
     max_attempts: int = SWEEP_MAX_ATTEMPTS,
-    subset_budget: int | None = None,
     workers: int | None = None,
-    fit_metric: str = "det",
 ) -> SweepResult:
     """One full density sweep for a state count, plus the fitted peak."""
     if not 2 <= n:
@@ -280,23 +275,13 @@ def run_sweep(
     if trials < 1:
         raise InputError("trials must be at least 1")
     seed = as_seed(seed)
-    tasks = [
-        dict(
-            setting=setting,
-            n=n,
-            d2=point.d2,
-            trials=trials,
-            seed=seed,
-            d0=d0,
-            x=point.x,
-            max_attempts=max_attempts,
-            subset_budget=subset_budget,
-        )
+    calls = [
+        partial(run_point, setting, n, point.d2, trials, seed,
+                d0=d0, x=point.x, max_attempts=max_attempts)
         for point in density_grid(n, steps)
     ]
-    records = tuple(_map_tasks(_point_task, tasks, _resolve_workers(workers)))
-    fit = fit_records(records, fit_metric)
-    return SweepResult(setting=setting, n=n, records=records, fit=fit)
+    records = tuple(_call_in_order(calls, _resolve_workers(workers)))
+    return SweepResult(setting=setting, n=n, records=records, fit=fit_records(records))
 
 
 def _fmt(value) -> str:
@@ -394,13 +379,9 @@ class TrimCell:
     half_width: float
 
 
-def _trim_task(kwargs: dict) -> TrimCell:
-    setting: Setting = kwargs["setting"]
-    n: int = kwargs["n"]
-    d2: float = kwargs["d2"]
-    trials: int = kwargs["trials"]
-    seed: Seed = kwargs["seed"]
-    config = GenConfig(n=n, alphabet=setting.alphabet, d2=d2, d0=kwargs["d0"])
+def _trim_cell(setting: Setting, n: int, d2: float, trials: int, seed: Seed,
+               d0: float) -> TrimCell:
+    config = GenConfig(n=n, alphabet=setting.alphabet, d2=d2, d0=d0)
     cell_seed = seed.child(_TRIM_TAG, setting.code, n, float_key(d2))
     est = trim_ratio(config, trials, cell_seed)
     return TrimCell(
@@ -428,15 +409,13 @@ def table_trim(
     far lower values across the whole grid).
     """
     seed = as_seed(seed)
-    tasks = []
-    for d2 in densities:
-        for n in n_values:
-            if not include_blank and (d2, n) in _TRIM_TABLE_BLANK:
-                continue
-            tasks.append(dict(
-                setting=setting, n=n, d2=d2, trials=trials, seed=seed, d0=d0,
-            ))
-    return _map_tasks(_trim_task, tasks, _resolve_workers(workers))
+    calls = [
+        partial(_trim_cell, setting, n, d2, trials, seed, d0)
+        for d2 in densities
+        for n in n_values
+        if include_blank or (d2, n) not in _TRIM_TABLE_BLANK
+    ]
+    return _call_in_order(calls, _resolve_workers(workers))
 
 
 TRIM_CSV_HEADER = "d2,n,trials,trim,ratio,ci_half_width"
@@ -505,8 +484,8 @@ def compare_settings(
         n=n,
         sweep_a=sweep_a,
         sweep_b=sweep_b,
-        fit_a_det=fit_records(sweep_a.records, "det"),
-        fit_b_det=fit_records(sweep_b.records, "det"),
+        fit_a_det=sweep_a.fit,
+        fit_b_det=sweep_b.fit,
         fit_a_canonical=fit_records(sweep_a.records, "canonical"),
         fit_b_canonical=fit_records(sweep_b.records, "canonical"),
         peak_mean_det_a=mean_a if mean_a is not None else float("nan"),

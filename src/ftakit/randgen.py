@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .constructions import coreachable_mask, reachable_mask
 from .core import Fta, RankedAlphabet, Transition
 from .errors import ExhaustionError, InputError
 
@@ -129,7 +130,7 @@ def generate(config: GenConfig, stream: np.random.Generator) -> Fta:
     return _fta_from_bools(config, *_split_block(config, u))
 
 
-def _trim_candidates(config: GenConfig, finals, nullary, binary) -> np.ndarray:
+def _trim_candidates(finals, nullary, binary) -> np.ndarray:
     """Indices of batch rows passing the cheap necessary conditions for trimness.
 
     A trim automaton needs every state to have an incoming rule, every
@@ -143,32 +144,14 @@ def _trim_candidates(config: GenConfig, finals, nullary, binary) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-def _trim_from_bools(finals, nullary, binary) -> bool:
-    """Exact trimness of one draw: both fixpoints over the inclusion booleans."""
-    n = finals.shape[-1]
-    trans = np.argwhere(binary)
-    a1, a2, tg = trans[:, 1], trans[:, 2], trans[:, 3]
-    reach = nullary.any(axis=0).copy()
-    while True:
-        fired = np.zeros(n, dtype=bool)
-        if len(tg):
-            fired[tg[reach[a1] & reach[a2]]] = True
-        if not (fired & ~reach).any():
-            break
-        reach |= fired
-    if not reach.all():
-        return False
-    core = finals.copy()
-    while True:
-        added = np.zeros(n, dtype=bool)
-        if len(tg):
-            useful = core[tg]
-            added[a1[useful & reach[a2]]] = True
-            added[a2[useful & reach[a1]]] = True
-        if not (added & ~core).any():
-            break
-        core |= added
-    return bool(core.all())
+def _trim_rows(config: GenConfig, u: np.ndarray) -> Iterator[int]:
+    """Indices, in order, of the rows of a batch of blocks that draw trim automata."""
+    finals, nullary, binary = _split_block(config, u)
+    for c in _trim_candidates(finals, nullary, binary).tolist():
+        _, a1, a2, tg = np.argwhere(binary[c]).T
+        reach = reachable_mask(nullary[c].any(axis=0), a1, a2, tg)
+        if reach.all() and coreachable_mask(finals[c], reach, a1, a2, tg).all():
+            yield c
 
 
 def generate_trim(config: GenConfig, seed: Seed | int, trial: int = 0) -> tuple[Fta, int]:
@@ -186,11 +169,8 @@ def generate_trim(config: GenConfig, seed: Seed | int, trial: int = 0) -> tuple[
     while attempts < config.max_attempts:
         take = min(batch, config.max_attempts - attempts)
         u = stream.random((take, block))
-        finals, nullary, binary = _split_block(config, u)
-        for c in _trim_candidates(config, finals, nullary, binary).tolist():
-            if _trim_from_bools(finals[c], nullary[c], binary[c]):
-                fta = _fta_from_bools(config, finals[c], nullary[c], binary[c])
-                return fta, attempts + c + 1
+        for c in _trim_rows(config, u):
+            return _fta_from_bools(config, *_split_block(config, u[c])), attempts + c + 1
         attempts += take
         batch = min(batch * 8, max(1, _BATCH_DOUBLES // block))
     raise ExhaustionError(config.n, config.d2, attempts)
@@ -218,10 +198,7 @@ def trim_ratio(config: GenConfig, trials: int, seed: Seed | int) -> TrimEstimate
         u = np.empty((count, block))
         for k in range(count):
             u[k] = seed.stream(start + k).random(block)
-        finals, nullary, binary = _split_block(config, u)
-        for c in _trim_candidates(config, finals, nullary, binary).tolist():
-            if _trim_from_bools(finals[c], nullary[c], binary[c]):
-                hits += 1
+        hits += sum(1 for _ in _trim_rows(config, u))
     ratio = hits / trials
     half = 1.96 * math.sqrt(ratio * (1.0 - ratio) / trials)
     return TrimEstimate(ratio, half, trials, hits)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftakit import (
     BudgetError,
@@ -29,6 +31,7 @@ from ftakit import (
     reachable,
     trim,
 )
+from trim_reference import coreachable_ref, is_trim_ref, reachable_ref, trim_ref
 
 
 def _fta(alphabet, states, finals, rules):
@@ -107,10 +110,42 @@ def test_determinize_budget(example_fta):
 
 
 def test_determinize_rejects_general_ranks():
+    # Determinization and trimness analysis share the ranks-0-and-2 contract.
     alph = RankedAlphabet.of(a=0, g=1)
     unary = _fta(alph, {1}, {1}, [("a", (), 1), ("g", (1,), 1)])
+    for construction in (determinize, reachable, coreachable, is_trim, trim):
+        with pytest.raises(InputError):
+            construction(unary)
+
+
+def test_coreachable_rejects_unknown_start_state(example_fta):
     with pytest.raises(InputError):
-        determinize(unary)
+        coreachable(example_fta, StateSet.of(1, 9))
+
+
+@st.composite
+def _binary_ftas(draw):
+    """Small automata over one or two binary symbols with scattered state ids."""
+    states = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
+    alphabet = (Setting.A if draw(st.booleans()) else Setting.B).alphabet
+    rules = [("alpha", (), q) for q in states]
+    rules += [(sym, (p, q), r) for sym in alphabet.binary
+              for p in states for q in states for r in states]
+    chosen = draw(st.lists(st.sampled_from(rules), max_size=20, unique=True))
+    finals = draw(st.sets(st.sampled_from(states)))
+    from_ = draw(st.sets(st.sampled_from(states)))
+    return _fta(alphabet, states, finals, chosen), from_
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binary_ftas())
+def test_trimness_matches_reference(case):
+    fta, from_ = case
+    assert reachable(fta) == reachable_ref(fta)
+    assert coreachable(fta) == coreachable_ref(fta)
+    assert coreachable(fta, from_) == coreachable_ref(fta, from_)
+    assert is_trim(fta) == is_trim_ref(fta)
+    assert trim(fta) == trim_ref(fta)
 
 
 def test_reachable(example_fta, ab_alphabet):

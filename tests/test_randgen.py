@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from ftakit import (
@@ -18,7 +19,8 @@ from ftakit import (
     is_trim,
     trim_ratio,
 )
-from ftakit.randgen import _split_block, _trim_from_bools
+from ftakit.randgen import _fta_from_bools, _split_block, _trim_rows
+from trim_reference import is_trim_ref
 
 
 def _config(**kw) -> GenConfig:
@@ -144,29 +146,33 @@ def test_generate_trim_reproducible_across_batching():
 
 def test_generate_trim_matches_rejection_over_generate():
     # The batched loop must agree with the definitional loop: regenerate
-    # blocks through generate() until is_trim holds.
+    # blocks through generate() until the reference trimness check holds.
     config = _config(n=3, d2=0.25, d0=0.5)
     for trial in range(6):
         fast, attempts = generate_trim(config, 321, trial)
         stream = as_seed(321).stream(trial)
         for k in range(1, attempts + 1):
             candidate = generate(config, stream)
-        assert k == attempts
-        assert is_trim(candidate)
+            assert is_trim_ref(candidate) == (k == attempts)
         assert candidate == fast
 
 
 def test_fast_trim_check_matches_public_is_trim():
+    # The generator's batched check, the public is_trim and the reference
+    # fixpoints agree draw by draw.
     seed = as_seed(777)
     for i, (n, d2, d0) in enumerate([(2, 0.5, 0.5), (3, 0.2, 0.3),
                                      (4, 0.1, 0.7), (5, 0.05, 0.5)]):
         config = _config(n=n, d2=d2, d0=d0)
-        for t in range(100):
-            u = seed.stream(i, t).random(config.block_size)
-            finals, nullary, binary = _split_block(config, u)
-            from ftakit.randgen import _fta_from_bools
-            fta = _fta_from_bools(config, finals, nullary, binary)
-            assert _trim_from_bools(finals, nullary, binary) == is_trim(fta)
+        u = np.stack([seed.stream(i, t).random(config.block_size) for t in range(100)])
+        expected = []
+        for t, row in enumerate(u):
+            fta = _fta_from_bools(config, *_split_block(config, row))
+            trim = is_trim_ref(fta)
+            assert is_trim(fta) == trim
+            if trim:
+                expected.append(t)
+        assert list(_trim_rows(config, u)) == expected
 
 
 def test_generate_trim_exhausts():
