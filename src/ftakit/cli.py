@@ -2,8 +2,9 @@
 
 Data (documents, CSV, sizes) goes to stdout or the --out file; diagnostics
 such as the effective seed go to stderr so piped output stays clean.  Exit
-codes: 0 success, 1 failed self-check, 2 usage error, 3 bad input, 4 file
-I/O error, 5 generation exhausted.
+codes: 0 success, 1 failed self-check, 2 usage error, 3 bad input (any
+other ftakit error, such as too few grid points to fit a peak), 4 file I/O
+error, 5 generation exhausted.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .constructions import determinize, minimize
 from .density import peak_density, round_half_up
-from .errors import ConfigError, ExhaustionError, InputError, ParseError
+from .errors import Error, ExhaustionError
 from .experiment import (
     Setting,
     densities_csv,
@@ -46,7 +47,7 @@ def _guard(fn):
         except ExhaustionError as err:
             click.echo(f"error: {err}", err=True)
             sys.exit(EXIT_EXHAUSTED)
-        except (ParseError, InputError, ConfigError, ValueError) as err:
+        except Error as err:
             click.echo(f"error: {err}", err=True)
             sys.exit(EXIT_INPUT)
         except OSError as err:

@@ -17,9 +17,7 @@ import numpy as np
 from .core import Fta, RankedAlphabet, StateSet, Transition
 from .errors import BudgetError, InputError
 
-# Above this many source states the vectorized uint64 bit masks no longer fit;
-# a plain-Python fallback handles the (rare, small-density) larger inputs.
-_VECTOR_MAX_STATES = 64
+_ALL_ONES = np.uint64(2**64 - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +110,24 @@ def _require_binary_alphabet(fta: Fta, what: str) -> None:
         raise InputError(f"{what} supports ranks 0 and 2 only")
 
 
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Dense ranks of a nonempty 1-D array: equal values share a rank, order kept."""
+    order = values.argsort()
+    ordered = values[order]
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.concatenate(([0], (ordered[1:] != ordered[:-1]).cumsum()))
+    return rank
+
+
+def _row_ranks(rows: np.ndarray) -> np.ndarray:
+    """Dense ranks of the rows of a 2-D array in lexicographic order."""
+    rank = _ranks(rows[:, 0])
+    for w in range(1, rows.shape[1]):
+        sub = _ranks(rows[:, w])
+        rank = _ranks(rank * (int(sub.max()) + 1) + sub)
+    return rank
+
+
 def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     """Accessible subset construction.
 
@@ -126,121 +142,91 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     src = tuple(sorted(fta.states))
     pos = {q: k for k, q in enumerate(src)}
     n = len(src)
-    fmask = 0
-    for q in fta.finals:
-        fmask |= 1 << pos[q]
+    # A subset is a row of uint64 words, word 0 the most significant, so rows
+    # sort like the masks they spell; bit k stands for source state k.
+    n_words = max(1, -(-n // 64))
+    word = n_words - 1 - np.arange(n) // 64
+    bit = np.left_shift(np.uint64(1), (np.arange(n) % 64).astype(np.uint64))
 
     nullary_syms = fta.alphabet.nullary
     binary_syms = fta.alphabet.binary
-    null_imgs = {a: 0 for a in nullary_syms}
-    tgt: dict[str, list[list[int]]] = {
-        s: [[0] * n for _ in range(n)] for s in binary_syms
-    }
-    for t in fta.transitions:
-        if not t.args:
-            null_imgs[t.symbol] |= 1 << pos[t.target]
-        else:
-            tgt[t.symbol][pos[t.args[0]]][pos[t.args[1]]] |= 1 << pos[t.target]
+    s, tg = np.array([(nullary_syms.index(t.symbol), pos[t.target])
+                      for t in fta.transitions if not t.args],
+                     dtype=np.intp).reshape(-1, 2).T
+    null_imgs = np.zeros((len(nullary_syms), n_words), dtype=np.uint64)
+    np.bitwise_or.at(null_imgs, (s, word[tg]), bit[tg])
+    # tgt[s, 0, p, q] is the image of s(p, q) and tgt[s, 1, q, p] is it again,
+    # so the images over either argument position reduce along one axis.
+    s, a1, a2, tg = np.array([(binary_syms.index(t.symbol), pos[t.args[0]],
+                               pos[t.args[1]], pos[t.target])
+                              for t in fta.transitions if t.args],
+                             dtype=np.intp).reshape(-1, 4).T
+    tgt = np.zeros((len(binary_syms), 2, n, n, n_words), dtype=np.uint64)
+    np.bitwise_or.at(tgt, (s, 0, a1, a2, word[tg]), bit[tg])
+    np.bitwise_or.at(tgt, (s, 1, a2, a1, word[tg]), bit[tg])
 
-    masks: list[int] = []
-    index: dict[int, int] = {}
+    keys: list[bytes] = []
+    index: dict[bytes, int] = {}
+    # member[j, k, 0] is all ones when source state k is in subset j, else 0.
+    member = np.zeros((16, n, 1), dtype=np.uint64)
 
-    def intern(mask: int) -> int:
-        i = index.get(mask)
-        if i is None:
-            i = len(masks)
-            index[mask] = i
-            masks.append(mask)
-        return i
+    def intern(rows: np.ndarray) -> np.ndarray:
+        """Subset ids of the rows; unseen subsets join in ascending order."""
+        nonlocal member
+        rank = _row_ranks(rows)
+        uniq = np.empty((int(rank.max()) + 1, n_words), dtype=np.uint64)
+        uniq[rank] = rows
+        ukeys = uniq.astype(">u8").view(f"V{8 * n_words}").ravel().tolist()
+        ids = list(map(index.get, ukeys))
+        if None in ids:
+            new = [u for u, got in enumerate(ids) if got is None]
+            first = len(keys)
+            for u in new:
+                ids[u] = index[ukeys[u]] = len(keys)
+                keys.append(ukeys[u])
+            if len(keys) > len(member):
+                spare = np.zeros((2 * len(keys), n, 1), dtype=np.uint64)
+                member = np.concatenate((member, spare))
+            member[first : len(keys), :, 0] = np.where(uniq[new][:, word] & bit,
+                                                        _ALL_ONES, 0)
+        return np.array(ids, dtype=np.int32)[rank]
 
-    nullary_ids = {a: intern(null_imgs[a]) for a in nullary_syms}
-    rows: dict[str, list[np.ndarray]] = {s: [] for s in binary_syms}
-    cols: dict[str, list[np.ndarray]] = {s: [] for s in binary_syms}
-
-    vectorized = 0 < n <= _VECTOR_MAX_STATES
-    if vectorized:
-        tgt_np = {s: np.array(tgt[s], dtype=np.uint64) for s in binary_syms}
-        member = np.zeros((max(16, 2 * len(masks)), n), dtype=bool)
-        filled = 0
+    nullary_ids = {a: int(intern(null_imgs[k : k + 1])[0])
+                   for k, a in enumerate(nullary_syms)}
+    # steps[sym][i] holds the successors of (i, j), then of (j, i), for j <= i.
+    steps: dict[str, list[np.ndarray]] = {sym: [] for sym in binary_syms}
 
     i = 0
-    while i < len(masks):
-        mask_i = masks[i]
-        bits_i = [k for k in range(n) if (mask_i >> k) & 1]
-        if vectorized:
-            if len(masks) > member.shape[0]:
-                grown = np.zeros((2 * len(masks), n), dtype=bool)
-                grown[:filled] = member[:filled]
-                member = grown
-            while filled < len(masks):
-                m = masks[filled]
-                member[filled] = [(m >> k) & 1 for k in range(n)]
-                filled += 1
-        for sym in binary_syms:
-            if vectorized:
-                if bits_i:
-                    rowvec = np.bitwise_or.reduce(tgt_np[sym][bits_i, :], axis=0)
-                    colvec = np.bitwise_or.reduce(tgt_np[sym][:, bits_i], axis=1)
-                else:
-                    rowvec = np.zeros(n, dtype=np.uint64)
-                    colvec = rowvec
-                known = member[: i + 1]
-                row_res = np.bitwise_or.reduce(
-                    np.where(known, rowvec[None, :], 0), axis=1
-                )
-                col_res = np.bitwise_or.reduce(
-                    np.where(known, colvec[None, :], 0), axis=1
-                )
-                both = np.concatenate([row_res, col_res])
-            else:
-                table = tgt[sym]
-                row_list = []
-                col_list = []
-                for j in range(i + 1):
-                    bits_j = [k for k in range(n) if (masks[j] >> k) & 1]
-                    row = 0
-                    col = 0
-                    for b1 in bits_i:
-                        for b2 in bits_j:
-                            row |= table[b1][b2]
-                            col |= table[b2][b1]
-                    row_list.append(row)
-                    col_list.append(col)
-                both = np.array(row_list + col_list, dtype=object)
-            # Intern newly seen subsets in ascending mask order so discovery
-            # order is deterministic and independent of the execution path.
-            uniq, inverse = np.unique(both, return_inverse=True)
-            ids = np.empty(len(uniq), dtype=np.int32)
-            for k, mask in enumerate(uniq.tolist()):
-                ids[k] = intern(int(mask))
-            mapped = ids[inverse]
-            rows[sym].append(mapped[: i + 1].astype(np.int32))
-            cols[sym].append(mapped[i + 1 :].astype(np.int32))
-        if max_subsets is not None and len(masks) > max_subsets:
-            raise BudgetError(
-                f"subset construction exceeded {max_subsets} states "
-                f"(source n={n})"
-            )
+    while i < len(keys):
+        known = member[None, : i + 1]
+        bits_i = member[i, :, 0] != 0
+        for s, sym in enumerate(binary_syms):
+            images = np.bitwise_or.reduce(tgt[s][:, bits_i], axis=1)
+            both = np.bitwise_or.reduce(known & images[:, None], axis=2)
+            steps[sym].append(intern(both.reshape(-1, n_words)))
+        if max_subsets is not None and len(keys) > max_subsets:
+            raise BudgetError(f"subset construction exceeded {max_subsets} states "
+                              f"(source n={n})")
         i += 1
 
-    n_sub = len(masks)
     binary_tables: dict[str, np.ndarray] = {}
     for sym in binary_syms:
-        table = np.empty((n_sub, n_sub), dtype=np.int32)
-        for k in range(n_sub):
-            table[k, : k + 1] = rows[sym][k]
-            table[: k + 1, k] = cols[sym][k]
+        table = np.empty((len(keys), len(keys)), dtype=np.int32)
+        for k, mapped in enumerate(steps[sym]):
+            table[k, : k + 1] = mapped[: k + 1]
+            table[: k + 1, k] = mapped[k + 1 :]
         binary_tables[sym] = table
 
-    finals = frozenset(k for k, m in enumerate(masks) if m & fmask)
+    masks = tuple(int.from_bytes(key, "big") for key in keys)
+    fmask = sum(1 << pos[q] for q in fta.finals)
     return Dfta(
         source_states=src,
         alphabet=fta.alphabet,
-        subsets=tuple(masks),
+        subsets=masks,
         nullary=nullary_ids,
         binary=binary_tables,
-        finals=finals,
-        sink=index.get(0),
+        finals=frozenset(k for k, m in enumerate(masks) if m & fmask),
+        sink=index.get(bytes(8 * n_words)),
     )
 
 
@@ -446,7 +432,8 @@ def minimize(dfta: Dfta) -> CanonicalFta:
         if int(alive.sum()) == before:
             break
     dead = np.flatnonzero(~alive)
-    assert len(dead) <= 1, "distinct dead states survived refinement"
+    if len(dead) > 1:
+        raise RuntimeError("distinct dead states survived refinement")
     sink = int(dead[0]) if len(dead) else None
 
     return CanonicalFta(

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
+from .errors import InputError
+
 
 def peak_density(n: int) -> float:
     """The binary density predicted to produce the hardest n-state instances.
@@ -23,7 +25,7 @@ def peak_density(n: int) -> float:
     cannot be met.
     """
     if n <= 1:
-        raise ValueError("peak density requires n > 1")
+        raise InputError("peak density requires n > 1")
     return 4.0 * (1.0 - 0.5 ** (1.0 / (n * n)))
 
 
@@ -34,9 +36,9 @@ def pi2(d2: float, n: int) -> float:
     d2 is the peak density.
     """
     if not 0.0 <= d2 <= 1.0:
-        raise ValueError("d2 must lie in [0, 1]")
+        raise InputError("d2 must lie in [0, 1]")
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InputError("n must be at least 1")
     return 1.0 - (1.0 - d2 / 4.0) ** (n * n)
 
 
@@ -58,9 +60,9 @@ def density_grid(n: int, steps: int = 40) -> list[DensityPoint]:
     same number of points.
     """
     if n <= 1:
-        raise ValueError("density grid requires n > 1")
+        raise InputError("density grid requires n > 1")
     if steps < 1:
-        raise ValueError("steps must be positive")
+        raise InputError("steps must be positive")
     log_peak = math.log(peak_density(n))
     return [
         DensityPoint(n=n, x=x, d2=math.exp(x * log_peak / (steps / 2.0)))

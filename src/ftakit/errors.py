@@ -7,8 +7,11 @@ class Error(Exception):
     """Base class for all ftakit errors."""
 
 
-class InputError(Error):
-    """A value breaks an operation's input contract (unknown symbol, bad arity, ...)."""
+class InputError(Error, ValueError):
+    """A value breaks an operation's input contract (unknown symbol, bad arity, ...).
+
+    Also a ValueError, so callers that catch ValueError for bad values keep working.
+    """
 
 
 class ConfigError(Error):

@@ -212,7 +212,8 @@ def run_point(
         dfta = determinize(fta)
         det_sizes.append(dfta.size)
         canonical = minimize(dfta).size
-        assert canonical >= 1, "a trim automaton accepts at least one tree"
+        if canonical < 1:
+            raise RuntimeError("a trim automaton accepts at least one tree")
         canonical_sizes.append(canonical)
     return PointRecord(
         setting=setting.value,
@@ -245,7 +246,11 @@ class SweepResult:
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise InputError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     return max(1, workers)
 
 

@@ -156,3 +156,25 @@ def test_check_command(runner):
     result = _invoke(runner, "check", "--cases", "8", "--seed", "12")
     assert result.exit_code == 0
     assert "ok" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--n", "3", "--steps", "1", "--trials", "1", "--seed", "1"],
+    ["table1", "--n", "3", "--steps", "1", "--trials", "1", "--seed", "1"],
+    ["sweep", "--n", "3", "--steps", "1", "--trials", "1", "--seed", "1",
+     "--max-attempts", "1"],
+])
+def test_exit_code_too_few_points_to_fit(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: need at least 3 positive-weight points")
+    assert "Traceback" not in result.output
+
+
+def test_exit_code_bad_workers_env(runner):
+    result = runner.invoke(main, ["sweep", "--n", "3", "--steps", "2", "--trials", "1",
+                                  "--seed", "1"], env={"FTAKIT_WORKERS": "many"})
+    assert result.exit_code == 3
+    assert result.stderr.splitlines()[-1] == "error: FTAKIT_WORKERS must be an integer, got 'many'"

@@ -31,6 +31,8 @@ from ftakit import (
     reachable,
     trim,
 )
+from ftakit import constructions
+from determinize_reference import determinize_ref
 from trim_reference import coreachable_ref, is_trim_ref, reachable_ref, trim_ref
 
 
@@ -148,6 +150,64 @@ def test_trimness_matches_reference(case):
     assert trim(fta) == trim_ref(fta)
 
 
+def _spread(fta, place, states):
+    """``fta`` with state q renamed ``place[q]``, inside the state set ``states``."""
+    return Fta(
+        states=frozenset(states),
+        alphabet=fta.alphabet,
+        finals=frozenset(place[q] for q in fta.finals),
+        transitions=frozenset(
+            Transition(t.symbol, tuple(place[a] for a in t.args), place[t.target])
+            for t in fta.transitions
+        ),
+    )
+
+
+@st.composite
+def _wide_ftas(draw):
+    """``_binary_ftas`` relabeled into 65 to 160 states, the rest unreachable padding.
+
+    The useful states land anywhere in 0..159, so they often sit on both
+    sides of bit 63 and the subset masks span two or three 64-bit words.
+    """
+    fta, _ = draw(_binary_ftas())
+    ids = draw(st.lists(st.integers(0, 159), min_size=fta.n, max_size=fta.n,
+                        unique=True))
+    padding = range(draw(st.integers(65, 160)))
+    return _spread(fta, dict(zip(sorted(fta.states), ids)), set(padding) | set(ids))
+
+
+def _check_against_reference(fta):
+    dfta = determinize(fta)
+    ref = determinize_ref(fta)
+    members = [StateSet.from_iter(dfta.subset_members(i)) for i in range(dfta.n_states)]
+    assert len(set(members)) == len(members)
+    assert set(members) == ref.subsets
+    assert {a: members[i] for a, i in dfta.nullary.items()} == ref.nullary
+    for sym, table in dfta.binary.items():
+        assert table.dtype == np.int32
+        for i, p in enumerate(members):
+            for j, q in enumerate(members):
+                assert members[table[i, j]] == ref.binary[sym, p, q]
+    assert {members[f] for f in dfta.finals} == ref.finals
+    if StateSet() in ref.subsets:
+        assert members[dfta.sink] == StateSet()
+    else:
+        assert dfta.sink is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_binary_ftas())
+def test_determinize_matches_reference(case):
+    _check_against_reference(case[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_ftas())
+def test_determinize_wide_source_matches_reference(fta):
+    _check_against_reference(fta)
+
+
 def test_reachable(example_fta, ab_alphabet):
     assert reachable(example_fta) == StateSet.of(0, 1, 2, 3)
     no_base = _fta(ab_alphabet, {1}, {1}, [("sigma", (1, 1), 1)])
@@ -220,6 +280,19 @@ def test_minimize_merges_equivalent_finals():
     assert language_fingerprint(m, 2) == language_fingerprint(
         minimize(dfta).to_fta(), 2
     )
+
+
+def test_minimize_rejects_distinct_dead_states(ab_alphabet, monkeypatch):
+    # {2} and the empty subset both lead nowhere; refinement must merge them,
+    # so a partition that keeps them apart is a bug even under python -O.
+    m = _fta(ab_alphabet, {1, 2, 3}, {3},
+             [("alpha", (), 1), ("sigma", (1, 1), 3), ("sigma", (3, 3), 2)])
+    dfta = determinize(m)
+    assert minimize(dfta).sink is not None
+    monkeypatch.setattr(constructions, "_refine",
+                        lambda blk, tables: (np.arange(len(blk), dtype=np.int32), len(blk)))
+    with pytest.raises(RuntimeError, match="distinct dead states"):
+        minimize(dfta)
 
 
 def test_canonical_size_empty_language(ab_alphabet):
@@ -313,21 +386,18 @@ def test_isomorphic_random_permutations():
                           minimize(determinize(shuffled)))
 
 
-def test_general_path_matches_vectorized(ab_alphabet):
-    # Force the >64-state fallback by re-determinizing a determinized
-    # document-style automaton padded with many states.
+def test_determinize_wide_padded_source():
+    # Re-determinize a determinized automaton whose states are spread over
+    # ids 40..100 among 130 states, so its subsets straddle bit 63.
     config = GenConfig(n=6, alphabet=Setting.A.alphabet, d2=0.2, d0=0.5,
                        max_attempts=2000)
     fta, _ = generate_trim(config, as_seed(13), 0)
     dfta = determinize(fta)
     plain = dfta.to_fta()
-    # pad with unreachable states so the source exceeds the vector width
-    padded = Fta(
-        states=frozenset(range(70)) | plain.states,
-        alphabet=plain.alphabet,
-        finals=plain.finals,
-        transitions=plain.transitions,
-    )
-    redet = determinize(padded)
+    place = {q: 40 + 60 * q // (plain.n - 1) for q in plain.states}
+    assert len(set(place.values())) == plain.n
+    assert min(place.values()) < 64 <= max(place.values())
+    redet = determinize(_spread(plain, place, range(130)))
+    assert max(redet.subsets).bit_length() > 64
     assert minimize(redet).size == minimize(dfta).size
     assert language_fingerprint(redet.to_fta(), 3) == language_fingerprint(fta, 3)

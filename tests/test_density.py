@@ -8,6 +8,7 @@ import pytest
 
 from ftakit import (
     GenConfig,
+    InputError,
     Setting,
     StateSet,
     as_seed,
@@ -154,6 +155,14 @@ def test_density_grid_domain():
         density_grid(1)
     with pytest.raises(ValueError):
         density_grid(4, 0)
+
+
+def test_domain_errors_are_input_errors():
+    # InputError is also a ValueError, so both spellings of the check hold.
+    for call in (lambda: peak_density(1), lambda: pi2(1.2, 3), lambda: pi2(0.5, 0),
+                 lambda: density_grid(1), lambda: density_grid(4, 0)):
+        with pytest.raises(InputError):
+            call()
 
 
 def test_round_half_up_ties():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,8 @@ from ftakit import (
     table_trim,
     trim_csv,
 )
-from ftakit.experiment import TRIM_TABLE_SIZES, equivalence_failures
+from ftakit import experiment
+from ftakit.experiment import TRIM_TABLE_SIZES, WORKERS_ENV, equivalence_failures
 
 
 def test_fit_peak_single_density():
@@ -90,6 +92,20 @@ def test_run_point_validation():
         run_point(Setting.A, 1, 0.5, 4, 1)
     with pytest.raises(InputError):
         run_point(Setting.A, 4, 0.5, 0, 1)
+
+
+def test_run_point_rejects_empty_canonical_language(monkeypatch):
+    # A trim automaton accepts some tree; a canonical size of 0 is a bug and
+    # must surface even under python -O.
+    monkeypatch.setattr(experiment, "minimize", lambda dfta: SimpleNamespace(size=0))
+    with pytest.raises(RuntimeError, match="accepts at least one tree"):
+        run_point(Setting.A, 4, 0.5, 1, 3)
+
+
+def test_workers_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "two")
+    with pytest.raises(InputError, match=WORKERS_ENV):
+        run_sweep(Setting.A, 3, 1, steps=2, trials=1)
 
 
 def test_run_point_exhaustion_is_recorded():
