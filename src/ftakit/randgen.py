@@ -29,8 +29,9 @@ from .constructions import coreachable_mask, reachable_mask
 from .core import Fta, RankedAlphabet, Transition
 from .errors import ExhaustionError, InputError
 
-# Upper bound on the number of uniform doubles drawn per vectorized batch.
-_BATCH_DOUBLES = 4_000_000
+# Upper bounds on the uniform doubles per vectorized batch.  trim_ratio's 2 MB
+# batches keep its peak memory apart from how the allocator reuses freed ones.
+_BATCH_DOUBLES, _RATIO_BATCH_DOUBLES = 4_000_000, 250_000
 
 
 @dataclass(frozen=True)
@@ -191,14 +192,14 @@ def trim_ratio(config: GenConfig, trials: int, seed: Seed | int) -> TrimEstimate
         raise InputError("trials must be at least 1")
     seed = as_seed(seed)
     block = config.block_size
-    chunk = max(1, _BATCH_DOUBLES // block)
+    chunk = min(trials, max(1, _RATIO_BATCH_DOUBLES // block))
+    u = np.empty((chunk, block))
     hits = 0
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
-        u = np.empty((count, block))
         for k in range(count):
-            u[k] = seed.stream(start + k).random(block)
-        hits += sum(1 for _ in _trim_rows(config, u))
+            seed.stream(start + k).random(out=u[k])
+        hits += sum(1 for _ in _trim_rows(config, u[:count]))
     ratio = hits / trials
     half = 1.96 * math.sqrt(ratio * (1.0 - ratio) / trials)
     return TrimEstimate(ratio, half, trials, hits)

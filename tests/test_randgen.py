@@ -211,6 +211,18 @@ def test_trim_ratio_monotone_in_d2():
         assert hi.ratio + hi.half_width >= lo.ratio - lo.half_width
 
 
+@pytest.mark.parametrize("rows", [1, 7, 40])
+def test_trim_ratio_counts_each_trial_once_at_any_batch_size(monkeypatch, rows):
+    # trim_ratio refills one buffer per batch; with 7 rows the last batch of 30
+    # trials holds 2, and the 5 rows left over from the batch before must not count.
+    config = _config(d2=0.2)
+    monkeypatch.setattr("ftakit.randgen._RATIO_BATCH_DOUBLES", rows * config.block_size)
+    seed = as_seed(31)
+    expected = sum(is_trim_ref(generate(config, seed.stream(t))) for t in range(30))
+    assert 0 < expected < 30
+    assert trim_ratio(config, 30, seed).hits == expected
+
+
 def test_trim_ratio_validates_trials():
     with pytest.raises(InputError):
         trim_ratio(_config(), 0, 1)
