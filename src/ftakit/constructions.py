@@ -136,9 +136,12 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     appears.  The result accepts exactly the language of ``fta``.
 
     ``max_subsets`` bounds the number of discovered subsets (the worst case
-    is 2**n); exceeding it raises BudgetError.
+    is 2**n); exceeding it raises BudgetError, and a negative bound raises
+    InputError.
     """
     _require_binary_alphabet(fta, "determinize")
+    if max_subsets is not None and max_subsets < 0:
+        raise InputError(f"max_subsets must be at least 0, got {max_subsets}")
     src = tuple(sorted(fta.states))
     pos = {q: k for k, q in enumerate(src)}
     n = len(src)
@@ -333,45 +336,79 @@ def _refinement_weights(size: int) -> tuple[np.ndarray, np.ndarray]:
     return w[:size], w[size:]
 
 
+# Table entries one step of refinement or quotienting reads at a time, so
+# that no temporary grows with the square of the state count.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _block_rows(n_states: int) -> int:
+    return max(1, _BLOCK_ENTRIES // max(1, n_states))
+
+
+def _same_profile(blk: np.ndarray, succ_tables: list[np.ndarray],
+                  states: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Whether each state agrees with its reference state on its block and on
+    the block of every successor, as either argument, under every symbol."""
+    same = blk[states] == blk[refs]
+    step = _block_rows(len(blk))
+    for table in succ_tables:
+        # As first argument: whole rows, a block of states at a time.
+        for a in range(0, len(states), step):
+            s, r = states[a : a + step], refs[a : a + step]
+            same[a : a + step] &= (blk[table[s]] == blk[table[r]]).all(axis=1)
+        # As second argument: every state's column, a block of rows at a time
+        # (one pass over the table instead of one per block of states).
+        for a in range(0, len(blk), step):
+            succ = np.take(blk, table[a : a + step])
+            same &= (np.take(succ, states, axis=1)
+                     == np.take(succ, refs, axis=1)).all(axis=0)
+    return same
+
+
 def _refine(blk: np.ndarray, succ_tables: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """One refinement pass: group states by (block, successor-block profile).
 
-    Profiles are compared through a fixed 64-bit mixing hash first and then
-    verified entry by entry inside each hash group, so the resulting
-    partition is exact; the hash only saves the lexicographic sort over the
-    full profile matrix.
+    Profiles are compared through a fixed 64-bit mixing hash first, summed
+    over blocks of table rows.  A state alone in its hash group gets a block
+    of its own; the members of a larger group are verified entry by entry
+    against the group's first unassigned member, so the resulting partition
+    is exact.
     """
     n_states = len(blk)
     w_row, w_col = _refinement_weights(n_states)
-    acc = blk.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    profiles = []
+    blk64 = blk.astype(np.uint64)
+    acc = blk64 + np.uint64(0x9E3779B97F4A7C15)
+    step = _block_rows(n_states)
     for table in succ_tables:
-        succ = blk[table]
-        profiles.append(succ)
-        succ64 = succ.astype(np.uint64)
-        row_hash = (succ64 * w_row[None, :]).sum(axis=1, dtype=np.uint64)
-        col_hash = (succ64 * w_col[:, None]).sum(axis=0, dtype=np.uint64)
+        row_hash = np.empty(n_states, dtype=np.uint64)
+        col_hash = np.zeros(n_states, dtype=np.uint64)
+        for a in range(0, n_states, step):
+            succ = np.take(blk64, table[a : a + step])
+            row_hash[a : a + step] = succ @ w_row
+            col_hash += w_col[a : a + step] @ succ
         acc = acc * np.uint64(0xBF58476D1CE4E5B9) + row_hash
         acc = acc * np.uint64(0x94D049BB133111EB) + col_hash
     order = np.argsort(acc, kind="stable")
     sorted_acc = acc[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_acc[1:] != sorted_acc[:-1]))
-    )
-    new_blk = np.full(n_states, -1, dtype=np.int32)
-    next_id = 0
-    for g, a in enumerate(starts):
-        b = starts[g + 1] if g + 1 < len(starts) else n_states
-        members = np.sort(order[a:b])
-        while members.size:
-            ref = members[0]
-            same = blk[members] == blk[ref]
-            for succ in profiles:
-                same &= (succ[members] == succ[ref]).all(axis=1)
-                same &= (succ[:, members] == succ[:, ref][:, None]).all(axis=0)
-            new_blk[members[same]] = next_id
-            next_id += 1
-            members = members[~same]
+    group = np.concatenate(([True], sorted_acc[1:] != sorted_acc[:-1])).cumsum()
+    alone = np.bincount(group)[group] == 1
+    next_id = int(alone.sum())
+    new_blk = np.empty(n_states, dtype=np.int32)
+    new_blk[order[alone]] = np.arange(next_id, dtype=np.int32)
+    # The rest, listed by group and ascending state within a group.  Each
+    # round, the first member of every group opens a new block that takes in
+    # the members with its profile; the others wait for the next round.
+    states, group = order[~alone], group[~alone]
+    while states.size:
+        first = np.concatenate(([True], group[1:] != group[:-1]))
+        opened = first.cumsum() - 1
+        same = first.copy()
+        rest = ~first
+        same[rest] = _same_profile(blk, succ_tables, states[rest],
+                                   states[first][opened[rest]])
+        new_blk[states[same]] = next_id + opened[same]
+        next_id += int(first.sum())
+        states, group = states[~same], group[~same]
     return new_blk, next_id
 
 
@@ -385,6 +422,9 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     under some symbol, argument position, and concrete co-argument, on the
     successor's block.  The loop exits only after a pass without any split,
     which re-checks the fixpoint.
+
+    Refinement and the quotient read the tables in blocks of rows, so they
+    hold no array of |states|**2 entries besides the input and output tables.
     """
     n_states = dfta.n_states
     binary_syms = dfta.alphabet.binary
@@ -402,21 +442,24 @@ def minimize(dfta: Dfta) -> CanonicalFta:
             break
         blk, n_blocks = new_blk, new_count
 
-    # Relabel blocks in order of first appearance and pick representatives.
-    relabel = {}
-    reps: list[int] = []
-    for s in range(n_states):
-        b = int(blk[s])
-        if b not in relabel:
-            relabel[b] = len(reps)
-            reps.append(s)
-    blk = np.array([relabel[int(b)] for b in blk], dtype=np.int32)
+    # Number blocks in order of first appearance; a block's first state
+    # represents it.
+    _, first, inverse = np.unique(blk, return_index=True, return_inverse=True)
+    relabel = np.empty(len(first), dtype=np.int32)
+    relabel[first.argsort()] = np.arange(len(first), dtype=np.int32)
+    blk = relabel[inverse]
+    reps = np.sort(first)
     n_min = len(reps)
 
     nullary = {sym: int(blk[i]) for sym, i in dfta.nullary.items()}
-    binary = {
-        sym: blk[dfta.binary[sym][np.ix_(reps, reps)]] for sym in binary_syms
-    }
+    binary = {}
+    step = _block_rows(n_states)
+    for sym, table in zip(binary_syms, succ_tables):
+        out = np.empty((n_min, n_min), dtype=np.int32)
+        for a in range(0, n_min, step):
+            np.take(blk, np.take(table[reps[a : a + step]], reps, axis=1),
+                    out=out[a : a + step])
+        binary[sym] = out
     finals = frozenset(int(blk[f]) for f in dfta.finals)
 
     # The dead block, if any, is the unique block no context carries into

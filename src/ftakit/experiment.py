@@ -513,7 +513,11 @@ def equivalence_failures(
     the case's stream) is determinized and minimized, and the accepted-tree
     sets up to ``height`` are compared across all three stages.  Returns a
     description per failing case; an empty list means every language agreed.
+    ``cases`` must be at least 1, so that an empty list always means something
+    was checked.
     """
+    if cases < 1:
+        raise InputError("cases must be at least 1")
     seed = as_seed(seed)
     failures: list[str] = []
     for i in range(cases):

@@ -108,6 +108,23 @@ def test_exit_code_exhaustion(runner):
     assert result.exit_code == 5
 
 
+@pytest.mark.parametrize("command", ["determinize", "minimize"])
+def test_exit_code_negative_max_subsets(runner, tmp_path, example_doc, command):
+    src = tmp_path / "ex.fta"
+    src.write_text(example_doc, encoding="utf-8")
+    result = runner.invoke(main, [command, "--in", str(src), "--max-subsets", "-1"])
+    assert result.exit_code == 3
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: max_subsets must be at least 0, got -1"]
+
+
+def test_exit_code_check_without_cases(runner):
+    result = runner.invoke(main, ["check", "--cases", "0", "--seed", "1"])
+    assert result.exit_code == 3
+    assert result.stderr.splitlines()[-1] == "error: cases must be at least 1"
+    assert "ok" not in result.stdout
+
+
 def test_exit_code_bad_flag(runner):
     result = runner.invoke(main, ["generate", "--n", "3"])
     assert result.exit_code == 2

@@ -32,7 +32,9 @@ from ftakit import (
     trim,
 )
 from ftakit import constructions
+from ftakit.density import peak_density
 from determinize_reference import determinize_ref
+from minimize_reference import equivalence_classes
 from trim_reference import coreachable_ref, is_trim_ref, reachable_ref, trim_ref
 
 
@@ -111,6 +113,12 @@ def test_determinize_budget(example_fta):
         determinize(example_fta, max_subsets=2)
 
 
+def test_determinize_rejects_negative_budget(example_fta):
+    with pytest.raises(InputError, match="max_subsets"):
+        determinize(example_fta, max_subsets=-1)
+    assert determinize(example_fta, max_subsets=5).n_states == 5
+
+
 def test_determinize_rejects_general_ranks():
     # Determinization and trimness analysis share the ranks-0-and-2 contract.
     alph = RankedAlphabet.of(a=0, g=1)
@@ -130,10 +138,12 @@ def _binary_ftas(draw):
     """Small automata over one or two binary symbols with scattered state ids."""
     states = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
     alphabet = (Setting.A if draw(st.booleans()) else Setting.B).alphabet
-    rules = [("alpha", (), q) for q in states]
-    rules += [(sym, (p, q), r) for sym in alphabet.binary
-              for p in states for q in states for r in states]
+    # Nullary rules are drawn apart from the binary ones, which outnumber them
+    # by up to 432 to 6 and would otherwise crowd them out.
+    rules = [(sym, (p, q), r) for sym in alphabet.binary
+             for p in states for q in states for r in states]
     chosen = draw(st.lists(st.sampled_from(rules), max_size=20, unique=True))
+    chosen += [("alpha", (), q) for q in draw(st.sets(st.sampled_from(states)))]
     finals = draw(st.sets(st.sampled_from(states)))
     from_ = draw(st.sets(st.sampled_from(states)))
     return _fta(alphabet, states, finals, chosen), from_
@@ -206,6 +216,77 @@ def test_determinize_matches_reference(case):
 @given(_wide_ftas())
 def test_determinize_wide_source_matches_reference(fta):
     _check_against_reference(fta)
+
+
+def _canonical_state_of(dfta, canonical):
+    """The canonical state of each subset state, found by running both automata
+    on the same trees: the nullary entries, then every pair of mapped states.
+    Every tree that reaches a subset state must reach the same canonical state."""
+    to: dict[int, int] = {}
+    order: list[int] = []
+
+    def visit(p, q):
+        if p in to:
+            assert to[p] == q
+        else:
+            to[p] = q
+            order.append(p)
+
+    for a in dfta.alphabet.nullary:
+        visit(dfta.nullary[a], canonical.nullary[a])
+    for k, p in enumerate(order):
+        for sym in dfta.alphabet.binary:
+            t, c = dfta.binary[sym], canonical.binary[sym]
+            for r in order[: k + 1]:
+                visit(int(t[p, r]), int(c[to[p], to[r]]))
+                visit(int(t[r, p]), int(c[to[r], to[p]]))
+    return to
+
+
+@settings(max_examples=200, deadline=None)
+@given(_binary_ftas(), st.data())
+def test_minimize_matches_reference(case, data):
+    fta = case[0]
+    dfta = determinize(fta)
+    canonical = minimize(dfta)
+    classes = equivalence_classes(dfta)
+    assert canonical.n_states == len(classes)
+    to = _canonical_state_of(dfta, canonical)
+    assert len(to) == dfta.n_states
+    assert {frozenset(p for p in to if to[p] == q) for q in to.values()} == classes
+    assert all((to[p] in canonical.finals) == (p in dfta.finals) for p in to)
+    ids = data.draw(st.lists(st.integers(0, 60), min_size=fta.n, max_size=fta.n,
+                             unique=True))
+    renamed = _spread(fta, dict(zip(sorted(fta.states), ids)), ids)
+    assert isomorphic(minimize(determinize(renamed)), canonical)
+    assert isomorphic(minimize(determinize(canonical.to_fta())), canonical)
+
+
+def _same_canonical(a, b):
+    return (a.n_states == b.n_states and a.nullary == b.nullary
+            and a.finals == b.finals and a.sink == b.sink
+            and all(np.array_equal(a.binary[sym], b.binary[sym]) for sym in a.binary))
+
+
+# Peak instances at n = 6..9; the setting-A ones merge states (20 -> 19,
+# 113 -> 103, 87 -> 61, 183 -> 165), and no subset count is a multiple of 7.
+@pytest.mark.parametrize("setting, n, seed", [
+    (Setting.A, 6, 4), (Setting.A, 7, 11), (Setting.A, 8, 23), (Setting.A, 9, 20),
+    (Setting.B, 6, 0), (Setting.B, 7, 1), (Setting.B, 8, 2), (Setting.B, 9, 3),
+])
+def test_minimize_collision_and_block_paths(monkeypatch, setting, n, seed):
+    config = GenConfig(n=n, alphabet=setting.alphabet, d2=peak_density(n), d0=0.5)
+    dfta = determinize(generate_trim(config, seed, 0)[0])
+    expected = minimize(dfta)
+    with monkeypatch.context() as m:
+        # All states of an old block hash alike, so verification makes every split.
+        m.setattr(constructions, "_refinement_weights",
+                  lambda size: (np.zeros(size, dtype=np.uint64),) * 2)
+        assert _same_canonical(minimize(dfta), expected)
+    with monkeypatch.context() as m:
+        # Blocks of 7 rows, the last one partial.
+        m.setattr(constructions, "_BLOCK_ENTRIES", 7 * dfta.n_states)
+        assert _same_canonical(minimize(dfta), expected)
 
 
 def test_reachable(example_fta, ab_alphabet):

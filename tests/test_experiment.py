@@ -223,5 +223,10 @@ def test_equivalence_failures_clean():
     assert equivalence_failures(10, 2025, height=3) == []
 
 
+def test_equivalence_failures_needs_a_case():
+    with pytest.raises(InputError, match="cases"):
+        equivalence_failures(0, 2025, height=3)
+
+
 def test_trim_table_grid_constants():
     assert TRIM_TABLE_SIZES == (2, 4, 6, 7, 8, 9, 10, 11, 12, 13)

@@ -7,7 +7,9 @@ grid points exhaust and keep only their completed trials.
 
 The subset-construction goldens pin what the CSVs cannot: the discovery
 order of the subsets (which numbers the states of ``ftakit determinize``
-documents) and every table entry.
+documents) and every table entry.  The minimization goldens do the same for
+the canonical automaton's block numbering, on the same inputs and on one
+where minimization merges states.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-from ftakit import Fta, GenConfig, Transition, determinize, generate_trim
+from ftakit import Fta, GenConfig, Transition, determinize, generate_trim, minimize
 from ftakit.density import peak_density
 from ftakit.experiment import (
     Setting,
@@ -112,15 +114,16 @@ _EMPTY = Fta(states=frozenset(), alphabet=Setting.A.alphabet,
              finals=frozenset(), transitions=frozenset())
 
 
-def _dfta_digest(dfta):
-    """sha256 over the int32 tables, then the nullary ids, finals and sink."""
+def _table_digest(automaton, *extra):
+    """sha256 over the int32 tables, then the nullary ids, finals, sink and ``extra``."""
     h = hashlib.sha256()
-    for sym in dfta.alphabet.binary:
-        table = dfta.binary[sym]
+    for sym in automaton.alphabet.binary:
+        table = automaton.binary[sym]
         assert table.dtype == np.int32
         h.update(sym.encode())
         h.update(np.ascontiguousarray(table, dtype="<i4").tobytes())
-    tail = (sorted(dfta.nullary.items()), sorted(dfta.finals), dfta.sink)
+    tail = (sorted(automaton.nullary.items()), sorted(automaton.finals), automaton.sink,
+            *extra)
     h.update(repr(tail).encode())
     return h.hexdigest()
 
@@ -179,7 +182,7 @@ EMPTY_DIGEST = '2e978bb13b3990d25e716664e043a9fe6f98057de965d5dba2d63065486f9c32
 def _check_dfta(fta, subsets, digest):
     dfta = determinize(fta)
     assert dfta.subsets == subsets
-    assert _dfta_digest(dfta) == digest
+    assert _table_digest(dfta) == digest
 
 
 def test_determinize_numbering_setting_a_peak():
@@ -196,3 +199,41 @@ def test_determinize_numbering_wide_source():
 
 def test_determinize_numbering_empty_source():
     _check_dfta(_EMPTY, EMPTY_SUBSETS, EMPTY_DIGEST)
+
+
+# sha256 over each canonical automaton's tables, nullary ids, finals, sink
+# and n_states.
+A8_CANONICAL_DIGEST = 'fe45e9d78938a37813221bc98584d9ce086336eb9419cf1d825e8514c960cc84'
+B7_CANONICAL_DIGEST = '8f0f152e6847972ea6307fae7a018afb3c11f693583522693f2716f517f1e2b8'
+WIDE_CANONICAL_DIGEST = '3f283db2232babc70f6a156e73d9d8da83c4b227f41e8194b1cc18a9526da880'
+EMPTY_CANONICAL_DIGEST = '3b5a86e2657fbb2395ec489f1af16a6dbe2d45f9da935c1fe083fce5c0b9db40'
+MERGING_CANONICAL_DIGEST = 'b0468f0850f1dacba3870809b92648ba6ca5b54d0b2c379064bedae0f39ca2c4'
+
+
+def _check_canonical(fta, digest):
+    canonical = minimize(determinize(fta))
+    assert _table_digest(canonical, canonical.n_states) == digest
+    return canonical
+
+
+def test_minimize_numbering_setting_a_peak():
+    _check_canonical(_peak_instance(Setting.A, 8, 3), A8_CANONICAL_DIGEST)
+
+
+def test_minimize_numbering_setting_b_peak():
+    _check_canonical(_peak_instance(Setting.B, 7, 2), B7_CANONICAL_DIGEST)
+
+
+def test_minimize_numbering_wide_source():
+    _check_canonical(_wide_instance(), WIDE_CANONICAL_DIGEST)
+
+
+def test_minimize_numbering_empty_source():
+    _check_canonical(_EMPTY, EMPTY_CANONICAL_DIGEST)
+
+
+def test_minimize_numbering_merging_instance():
+    # 87 subset states, 61 canonical blocks.
+    fta = _peak_instance(Setting.A, 8, 23)
+    assert determinize(fta).n_states == 87
+    assert _check_canonical(fta, MERGING_CANONICAL_DIGEST).n_states == 61
