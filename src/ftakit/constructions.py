@@ -17,7 +17,13 @@ import numpy as np
 from .core import Fta, RankedAlphabet, StateSet, Transition
 from .errors import BudgetError, InputError
 
-_ALL_ONES = np.uint64(2**64 - 1)
+# Table entries one block of subset construction, refinement or quotienting
+# computes or reads at a time, so that no temporary grows with the square of
+# the state count.
+_BLOCK_ENTRIES = 1 << 16
+# Source states per lookup chunk: the members a subset has in one chunk
+# select one of 2**_CHUNK precomputed unions of images.
+_CHUNK = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +141,12 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     symbol to every ordered pair of discovered subsets until no new subset
     appears.  The result accepts exactly the language of ``fta``.
 
+    Subsets are numbered as if one step ran at a time: step i pairs subset
+    i with every subset j <= i under each binary symbol in turn, and the
+    subsets a step finds first are numbered in ascending mask order.  The
+    steps below the current subset count run in blocks, each interned at
+    once, which gives the same numbers.
+
     ``max_subsets`` bounds the number of discovered subsets (the worst case
     is 2**n); exceeding it raises BudgetError, and a negative bound raises
     InputError.
@@ -150,9 +162,13 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     n_words = max(1, -(-n // 64))
     word = n_words - 1 - np.arange(n) // 64
     bit = np.left_shift(np.uint64(1), (np.arange(n) % 64).astype(np.uint64))
+    # Source states padded to whole lookup chunks; padding is in no subset.
+    n_chunks = max(1, -(-n // _CHUNK))
+    width = n_chunks * _CHUNK
 
     nullary_syms = fta.alphabet.nullary
     binary_syms = fta.alphabet.binary
+    n_syms = len(binary_syms)
     s, tg = np.array([(nullary_syms.index(t.symbol), pos[t.target])
                       for t in fta.transitions if not t.args],
                      dtype=np.intp).reshape(-1, 2).T
@@ -164,61 +180,103 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
                                pos[t.args[1]], pos[t.target])
                               for t in fta.transitions if t.args],
                              dtype=np.intp).reshape(-1, 4).T
-    tgt = np.zeros((len(binary_syms), 2, n, n, n_words), dtype=np.uint64)
+    tgt = np.zeros((n_syms, 2, width, width, n_words), dtype=np.uint64)
     np.bitwise_or.at(tgt, (s, 0, a1, a2, word[tg]), bit[tg])
     np.bitwise_or.at(tgt, (s, 1, a2, a1, word[tg]), bit[tg])
 
     keys: list[bytes] = []
     index: dict[bytes, int] = {}
-    # member[j, k, 0] is all ones when source state k is in subset j, else 0.
-    member = np.zeros((16, n, 1), dtype=np.uint64)
+    # bits[j, k] says whether source state k is in subset j; offs[j, c] is
+    # the lookup entry that subset j's members in chunk c select.
+    bits = np.zeros((16, width), dtype=bool)
+    offs = np.zeros((16, n_chunks), dtype=np.intp)
+    chunk_weights = 1 << np.arange(_CHUNK)
+    chunk_base = np.arange(n_chunks) << _CHUNK
 
-    def intern(rows: np.ndarray) -> np.ndarray:
-        """Subset ids of the rows; unseen subsets join in ascending order."""
-        nonlocal member
-        rank = _row_ranks(rows)
+    def intern(rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Subset ids of ``rows``, an array of rows of words.
+
+        ``steps``, broadcast to the shape of the ids, gives the step that
+        makes each row.  Unseen subsets join ordered by the first step that
+        makes them, then by mask.
+        """
+        nonlocal bits, offs
+        shape = rows.shape[:-1]
+        rank = _row_ranks(rows.reshape(-1, n_words))
         uniq = np.empty((int(rank.max()) + 1, n_words), dtype=np.uint64)
-        uniq[rank] = rows
+        uniq[rank] = rows.reshape(-1, n_words)
         ukeys = uniq.astype(">u8").view(f"V{8 * n_words}").ravel().tolist()
         ids = list(map(index.get, ukeys))
         if None in ids:
-            new = [u for u, got in enumerate(ids) if got is None]
-            first = len(keys)
-            for u in new:
+            unseen = np.array([got is None for got in ids])
+            at = np.flatnonzero(unseen[rank])
+            first = np.full(len(ids), np.iinfo(np.int64).max)
+            np.minimum.at(first, rank[at],
+                          np.broadcast_to(steps, shape)[np.unravel_index(at, shape)])
+            new = np.flatnonzero(unseen)
+            new = new[np.argsort(first[new], kind="stable")]
+            start = len(keys)
+            for u in new.tolist():
                 ids[u] = index[ukeys[u]] = len(keys)
                 keys.append(ukeys[u])
-            if len(keys) > len(member):
-                spare = np.zeros((2 * len(keys), n, 1), dtype=np.uint64)
-                member = np.concatenate((member, spare))
-            member[first : len(keys), :, 0] = np.where(uniq[new][:, word] & bit,
-                                                        _ALL_ONES, 0)
-        return np.array(ids, dtype=np.int32)[rank]
+            if len(keys) > len(bits):
+                spare = 2 * len(keys)
+                bits = np.concatenate((bits, np.zeros((spare, width), dtype=bool)))
+                offs = np.concatenate((offs, np.zeros((spare, n_chunks), dtype=np.intp)))
+            members = bits[start : len(keys)]
+            members[:, :n] = (uniq[new][:, word] & bit) != 0
+            offs[start : len(keys)] = (members.reshape(-1, n_chunks, _CHUNK)
+                                       @ chunk_weights + chunk_base)
+        return np.array(ids, dtype=np.int32)[rank].reshape(shape)
 
-    nullary_ids = {a: int(intern(null_imgs[k : k + 1])[0])
-                   for k, a in enumerate(nullary_syms)}
-    # steps[sym][i] holds the successors of (i, j), then of (j, i), for j <= i.
-    steps: dict[str, list[np.ndarray]] = {sym: [] for sym in binary_syms}
-
-    i = 0
-    while i < len(keys):
-        known = member[None, : i + 1]
-        bits_i = member[i, :, 0] != 0
-        for s, sym in enumerate(binary_syms):
-            images = np.bitwise_or.reduce(tgt[s][:, bits_i], axis=1)
-            both = np.bitwise_or.reduce(known & images[:, None], axis=2)
-            steps[sym].append(intern(both.reshape(-1, n_words)))
-        if max_subsets is not None and len(keys) > max_subsets:
-            raise BudgetError(f"subset construction exceeded {max_subsets} states "
-                              f"(source n={n})")
-        i += 1
-
-    binary_tables: dict[str, np.ndarray] = {}
-    for sym in binary_syms:
-        table = np.empty((len(keys), len(keys)), dtype=np.int32)
-        for k, mapped in enumerate(steps[sym]):
-            table[k, : k + 1] = mapped[: k + 1]
-            table[: k + 1, k] = mapped[k + 1 :]
-        binary_tables[sym] = table
+    # The nullary images come first, in symbol order.
+    nullary_ids = dict(zip(nullary_syms,
+                           intern(null_imgs, np.arange(len(nullary_syms))).tolist()))
+    tables = [np.empty((0, 0), dtype=np.int32) for _ in binary_syms]
+    a = 0
+    while binary_syms and a < len(keys):
+        # Steps below hi pair only subsets below hi, which all exist already,
+        # so they run before any of their images is interned.
+        hi = len(keys)
+        # The tables grow to exactly hi x hi, with one copy per round: large
+        # fresh arrays go back to the system when freed, where tables grown
+        # in place by realloc stayed on the heap and raised peak memory.
+        for k, table in enumerate(tables):
+            tables[k] = np.empty((hi, hi), dtype=np.int32)
+            tables[k][:a, :a] = table
+        while a < hi:
+            b = min(hi, a + max(1, _BLOCK_ENTRIES // (2 * n_syms * hi)))
+            # images[i, s, 0, q] is the image of s(S, q) for the block's
+            # subset S = a + i, and images[i, s, 1, q] the image of s(q, S).
+            images = np.bitwise_or.reduce(
+                np.broadcast_to(tgt, (b - a, *tgt.shape)), axis=3,
+                where=bits[a:b, None, None, :, None, None])
+            # look[..., c, m, :] is the union of the images over the states
+            # of chunk c that the bits of m select.
+            look = np.zeros((b - a, n_syms, 2, n_chunks, 1 << _CHUNK, n_words),
+                            dtype=np.uint64)
+            parts = images.reshape(b - a, n_syms, 2, n_chunks, _CHUNK, 1, n_words)
+            for k in range(_CHUNK):
+                look[..., 1 << k : 2 << k, :] = (look[..., : 1 << k, :]
+                                                 | parts[..., k, :, :])
+            look = look.reshape(b - a, n_syms, 2, -1, n_words)
+            # pair[i, s, 0, j] is the image of s(a + i, j), and pair[i, s, 1, j]
+            # that of s(j, a + i), for every j < b: one lookup per chunk of j.
+            pair = np.take(look, offs[:b, 0], axis=3)
+            for c in range(1, n_chunks):
+                pair |= np.take(look, offs[:b, c], axis=3)
+            # Pairs (i, j) and (j, i) belong to step max(i, j), symbol s.
+            steps = (np.maximum(np.arange(a, b)[:, None], np.arange(b))[:, None, None]
+                     * n_syms + np.arange(n_syms)[:, None, None])
+            ids = intern(pair, steps)
+            for k, table in enumerate(tables):
+                table[a:b, :b] = ids[:, k, 0]
+                table[:b, a:b] = ids[:, k, 1].T
+            # The count only grows, so one check per block is enough.
+            if max_subsets is not None and len(keys) > max_subsets:
+                raise BudgetError(f"subset construction exceeded {max_subsets} states "
+                                  f"(source n={n})")
+            a = b
 
     masks = tuple(int.from_bytes(key, "big") for key in keys)
     fmask = sum(1 << pos[q] for q in fta.finals)
@@ -227,7 +285,7 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
         alphabet=fta.alphabet,
         subsets=masks,
         nullary=nullary_ids,
-        binary=binary_tables,
+        binary=dict(zip(binary_syms, tables)),
         finals=frozenset(k for k, m in enumerate(masks) if m & fmask),
         sink=index.get(bytes(8 * n_words)),
     )
@@ -334,11 +392,6 @@ def _refinement_weights(size: int) -> tuple[np.ndarray, np.ndarray]:
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0xF1A75EED)))
     w = gen.integers(1, 1 << 63, size=2 * size, dtype=np.uint64) | np.uint64(1)
     return w[:size], w[size:]
-
-
-# Table entries one step of refinement or quotienting reads at a time, so
-# that no temporary grows with the square of the state count.
-_BLOCK_ENTRIES = 1 << 16
 
 
 def _block_rows(n_states: int) -> int:
@@ -464,14 +517,18 @@ def minimize(dfta: Dfta) -> CanonicalFta:
 
     # The dead block, if any, is the unique block no context carries into
     # acceptance; it plays the sink role in the canonical automaton.
+    # A pass reads the tables in row blocks and marks states as they join, so
+    # later blocks of the same pass already see them.
     alive = np.zeros(n_min, dtype=bool)
     alive[list(finals)] = True
+    step = _block_rows(n_min)
     while True:
         before = int(alive.sum())
-        for sym in binary_syms:
-            succ_alive = alive[binary[sym]]
-            alive |= succ_alive.any(axis=1)
-            alive |= succ_alive.any(axis=0)
+        for table in binary.values():
+            for a in range(0, n_min, step):
+                succ_alive = np.take(alive, table[a : a + step])
+                alive[a : a + step] |= succ_alive.any(axis=1)
+                alive |= succ_alive.any(axis=0)
         if int(alive.sum()) == before:
             break
     dead = np.flatnonzero(~alive)

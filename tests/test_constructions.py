@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ftakit import (
@@ -216,6 +216,142 @@ def test_determinize_matches_reference(case):
 @given(_wide_ftas())
 def test_determinize_wide_source_matches_reference(fta):
     _check_against_reference(fta)
+
+
+@st.composite
+def _chunked_ftas(draw):
+    """Automata over 7 to 14 states, so that subsets span more than one lookup
+    chunk of 6 states.  Every binary rule reads states that earlier rules or
+    the nullary rules reach, so the rules fire and most subset automata have
+    dozens of states."""
+    states = draw(st.lists(st.integers(0, 60), min_size=7, max_size=14, unique=True))
+    alphabet = (Setting.A if draw(st.booleans()) else Setting.B).alphabet
+    reach = sorted(draw(st.sets(st.sampled_from(states), min_size=1, max_size=3)))
+    chosen = [("alpha", (), q) for q in reach]
+    for _ in range(draw(st.integers(len(states), 2 * len(states)))):
+        rule = (draw(st.sampled_from(alphabet.binary)),
+                (draw(st.sampled_from(reach)), draw(st.sampled_from(reach))),
+                draw(st.sampled_from(states)))
+        chosen.append(rule)
+        if rule[2] not in reach:
+            reach.append(rule[2])
+    finals = draw(st.sets(st.sampled_from(states)))
+    return _fta(alphabet, states, finals, set(chosen))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chunked_ftas())
+def test_determinize_past_one_chunk_matches_reference(fta):
+    # The reference recomputes every pair per round; keep it to small tables.
+    assume(determinize(fta).n_states <= 40)
+    _check_against_reference(fta)
+
+
+def test_determinize_without_binary_symbols():
+    alphabet = RankedAlphabet.of(alpha=0, beta=0)
+    fta = _fta(alphabet, {1, 2}, {2},
+               [("alpha", (), 1), ("beta", (), 1), ("beta", (), 2)])
+    dfta = determinize(fta)
+    assert dfta.subsets == (0b01, 0b11)
+    assert dfta.nullary == {"alpha": 0, "beta": 1}
+    assert dfta.binary == {} and dfta.finals == {1} and dfta.sink is None
+
+
+def _same_dfta(a, b):
+    return (a.subsets == b.subsets and _same_canonical(a, b)
+            and all(table.dtype == np.int32 for table in a.binary.values()))
+
+
+def _first_steps(dfta):
+    """The step that first makes each subset state, read off the tables.
+
+    Step i pairs subset i with every subset j <= i, both ways, under each
+    binary symbol in turn, so pair (i, j) under symbol s has the key
+    max(i, j) * |symbols| + s.  The image of the k-th nullary symbol has a
+    negative key, in nullary symbol order.
+    """
+    nullary, binary = dfta.alphabet.nullary, dfta.alphabet.binary
+    first = np.full(dfta.n_states, np.iinfo(np.int64).max)
+    for k, a in enumerate(nullary):
+        first[dfta.nullary[a]] = min(first[dfta.nullary[a]], k - len(nullary))
+    ids = np.arange(dfta.n_states)
+    step = np.maximum(ids[:, None], ids)
+    for s, sym in enumerate(binary):
+        np.minimum.at(first, dfta.binary[sym].ravel(), (step * len(binary) + s).ravel())
+    return first
+
+
+def _blocks(dfta, first, entries):
+    """The blocks of steps [a, b) that determinize runs at ``entries`` pair
+    images per block: each round runs the steps below the subset count at
+    its start, in blocks of entries // (2 * |symbols| * count) steps."""
+    n_syms = len(dfta.alphabet.binary)
+    blocks = []
+    a, hi = 0, int((first < 0).sum())
+    while a < hi:
+        size = max(1, entries // (2 * n_syms * hi))
+        blocks += [(b, min(hi, b + size)) for b in range(a, hi, size)]
+        a, hi = hi, int((first < hi * n_syms).sum())
+    return blocks
+
+
+def _peak_fta(setting, n, seed):
+    config = GenConfig(n=n, alphabet=setting.alphabet, d2=peak_density(n), d0=0.5)
+    return generate_trim(config, seed, 0)[0]
+
+
+# Peak instances at n = 6..13 with 60 to 1624 subsets; 7, 11 and 13 states
+# are not whole lookup chunks.
+@pytest.mark.parametrize("setting, n, seed", [
+    (Setting.A, 6, 6), (Setting.A, 7, 4), (Setting.A, 10, 8), (Setting.A, 11, 9),
+    (Setting.A, 13, 3), (Setting.B, 7, 2), (Setting.B, 9, 9), (Setting.B, 11, 9),
+    (Setting.B, 13, 8),
+])
+def test_determinize_block_boundaries(monkeypatch, setting, n, seed):
+    fta = _peak_fta(setting, n, seed)
+    expected = determinize(fta)
+    # Subsets are numbered by the step that first makes them, then by mask.
+    first = _first_steps(expected)
+    order = list(zip(first.tolist(), expected.subsets))
+    assert order == sorted(order)
+    # One step per block; then blocks of at least 5 steps, where some round
+    # ends in a shorter, partial block.
+    n_syms = len(setting.alphabet.binary)
+    longer = 10 * n_syms * expected.n_states
+    assert any(b - a < 5 for a, b in _blocks(expected, first, longer))
+    for entries in (1, longer):
+        with monkeypatch.context() as m:
+            m.setattr(constructions, "_BLOCK_ENTRIES", entries)
+            assert _same_dfta(determinize(fta), expected)
+
+
+@pytest.mark.parametrize("setting, n, seed", [
+    (Setting.A, 6, 6), (Setting.A, 7, 4), (Setting.B, 6, 3), (Setting.B, 9, 9),
+])
+def test_determinize_budget_boundary(setting, n, seed):
+    fta = _peak_fta(setting, n, seed)
+    full = determinize(fta)
+    count = full.n_states  # the sink included
+    with pytest.raises(BudgetError,
+                       match=rf"^subset construction exceeded {count - 1} states "
+                             rf"\(source n={n}\)$"):
+        determinize(fta, max_subsets=count - 1)
+    assert _same_dfta(determinize(fta, max_subsets=count), full)
+
+
+def test_determinize_budget_crossed_inside_a_block(monkeypatch):
+    fta = _peak_fta(Setting.B, 9, 9)
+    full = determinize(fta)
+    first = _first_steps(full)
+    entries = 1 << 12
+    # The last subset appears before the last step of its block, so the
+    # budget is crossed inside the block and checked only at its end.
+    last = int(first[-1]) // len(Setting.B.alphabet.binary)
+    assert any(a <= last < b - 1 for a, b in _blocks(full, first, entries))
+    monkeypatch.setattr(constructions, "_BLOCK_ENTRIES", entries)
+    with pytest.raises(BudgetError, match=f"exceeded {full.n_states - 1} states"):
+        determinize(fta, max_subsets=full.n_states - 1)
+    assert _same_dfta(determinize(fta, max_subsets=full.n_states), full)
 
 
 def _canonical_state_of(dfta, canonical):
