@@ -29,9 +29,9 @@ from .constructions import coreachable_mask, reachable_mask
 from .core import Fta, RankedAlphabet, Transition
 from .errors import ExhaustionError, InputError
 
-# Upper bounds on the uniform doubles per vectorized batch.  trim_ratio's 2 MB
+# Upper bounds on the uniform doubles per vectorized batch.  trim_ratio's 0.5 MB
 # batches keep its peak memory apart from how the allocator reuses freed ones.
-_BATCH_DOUBLES, _RATIO_BATCH_DOUBLES = 4_000_000, 250_000
+_BATCH_DOUBLES, _RATIO_BATCH_DOUBLES = 4_000_000, 62_500
 
 
 @dataclass(frozen=True)
@@ -131,26 +131,47 @@ def generate(config: GenConfig, stream: np.random.Generator) -> Fta:
     return _fta_from_bools(config, *_split_block(config, u))
 
 
-def _trim_candidates(finals, nullary, binary) -> np.ndarray:
-    """Indices of batch rows passing the cheap necessary conditions for trimness.
-
-    A trim automaton needs every state to have an incoming rule, every
-    non-final state to occur on some binary left-hand side, and at least one
-    final state.  These reject almost all sparse draws without running the
-    fixpoints.
-    """
-    incoming = nullary.any(axis=1) | binary.any(axis=(1, 2, 3))
-    on_lhs = binary.any(axis=(1, 3, 4)) | binary.any(axis=(1, 2, 4))
-    ok = incoming.all(axis=1) & (finals | on_lhs).all(axis=1) & finals.any(axis=1)
-    return np.flatnonzero(ok)
-
-
 def _trim_rows(config: GenConfig, u: np.ndarray) -> Iterator[int]:
-    """Indices, in order, of the rows of a batch of blocks that draw trim automata."""
-    finals, nullary, binary = _split_block(config, u)
-    for c in _trim_candidates(finals, nullary, binary).tolist():
-        _, a1, a2, tg = np.argwhere(binary[c]).T
-        reach = reachable_mask(nullary[c].any(axis=0), a1, a2, tg)
+    """Indices, in order, of the rows of a batch of blocks that draw trim automata.
+
+    The batch's binary rules are one sorted list of flat cells
+    ``row * width + ((s * n + q1) * n + q2) * n + q``.  A trim automaton needs
+    every state to have an incoming rule, every non-final state to occur on
+    some binary left-hand side, and at least one final state; scattering the
+    rule list into two (rows, n) masks checks that for every row at once and
+    rejects almost all sparse draws.  Each surviving row then runs the
+    fixpoints on its own slice of the list.
+    """
+    n = config.n
+    rows = u.shape[0]
+    s0 = len(config.alphabet.nullary)
+    off = n + s0 * n
+    width = u.shape[1] - off
+    finals = u[:, :n] < config.final_prob
+    nullary = (u[:, n:off] < config.d0).reshape(rows, s0, n).any(axis=1)
+    # A batch holds fewer than 2**31 doubles, so int32 positions cannot overflow.
+    pos = np.flatnonzero(u[:, off:] < config.d2).astype(np.int32)
+    base = pos // max(width, 1)  # each rule's row, as a flat offset into (rows, n)
+    base *= n
+    incoming, on_lhs = nullary.copy(), finals.copy()
+    for mask, digit in ((incoming, 1), (on_lhs, n), (on_lhs, n * n)):
+        state = pos // digit
+        state %= n
+        state += base
+        mask.reshape(-1)[state] = True
+    del base, state  # a suspended generator would keep them alive
+    ok = incoming.all(axis=1) & on_lhs.all(axis=1) & finals.any(axis=1)
+    cands = np.flatnonzero(ok)
+    edges = np.searchsorted(pos, np.stack((cands, cands + 1)).astype(np.int32) * width)
+    for c, lo, hi in zip(cands.tolist(), *edges.tolist()):
+        cell = pos[lo:hi].astype(np.int64)
+        cell -= c * width
+        tg = cell % n
+        cell //= n
+        a2 = cell % n
+        cell //= n
+        a1 = cell % n
+        reach = reachable_mask(nullary[c], a1, a2, tg)
         if reach.all() and coreachable_mask(finals[c], reach, a1, a2, tg).all():
             yield c
 

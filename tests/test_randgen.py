@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftakit import (
     ExhaustionError,
@@ -19,6 +22,8 @@ from ftakit import (
     is_trim,
     trim_ratio,
 )
+from ftakit import randgen
+from ftakit.constructions import reachable_mask
 from ftakit.randgen import _fta_from_bools, _split_block, _trim_rows
 from trim_reference import is_trim_ref
 
@@ -137,11 +142,21 @@ def test_generate_trim_postcondition():
         assert attempts >= 1
 
 
-def test_generate_trim_reproducible_across_batching():
-    config = _config(n=4, d2=0.12, d0=0.5)
-    a, att_a = generate_trim(config, 5, 3)
-    b, att_b = generate_trim(config, 5, 3)
-    assert a == b and att_a == att_b
+def test_generate_trim_reproducible_across_batching(monkeypatch):
+    # Trial 2 first draws a trim automaton at attempt 164: inside the default's
+    # third batch (attempts 37-292) and inside a 7-row batch (attempts 158-165).
+    # With 150 attempts it exhausts, in a partial batch when batches hold 7 rows.
+    config = _config(n=4, d2=0.01, d0=0.5)
+    exhausting = _config(n=4, d2=0.01, d0=0.5, max_attempts=150)
+    expected = generate_trim(config, 5, 2)
+    assert expected[1] == 164
+    for blocks in (None, 1, 7):
+        if blocks:
+            monkeypatch.setattr("ftakit.randgen._BATCH_DOUBLES", blocks * config.block_size)
+        assert generate_trim(config, 5, 2) == expected
+        with pytest.raises(ExhaustionError) as info:
+            generate_trim(exhausting, 5, 2)
+        assert info.value.attempts == 150
 
 
 def test_generate_trim_matches_rejection_over_generate():
@@ -175,12 +190,63 @@ def test_fast_trim_check_matches_public_is_trim():
         assert list(_trim_rows(config, u)) == expected
 
 
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def _necessary_for_trim(fta) -> bool:
+    """Every state has an incoming rule, every non-final state is on a binary
+    left-hand side, and some state is final."""
+    targets = {t.target for t in fta.transitions}
+    on_lhs = {q for t in fta.transitions for q in t.args}
+    return targets == fta.states and fta.states - fta.finals <= on_lhs and bool(fta.finals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(setting=st.sampled_from([Setting.A, Setting.B]), n=st.integers(1, 9),
+       rows=st.integers(1, 40),
+       d2=st.one_of(_PROBABILITY, st.floats(0.0, 0.1)),
+       d0=_PROBABILITY, final_prob=_PROBABILITY, seed=st.integers(0, 2 ** 32))
+def test_trim_rows_match_reference(setting, n, rows, d2, d0, final_prob, seed):
+    # The batched filter keeps exactly the rows whose automata the reference
+    # calls trim, and runs the fixpoints exactly on the rows that meet the
+    # necessary conditions, each with that row's own binary rules.
+    config = GenConfig(n=n, alphabet=setting.alphabet, d2=d2, d0=d0,
+                       final_prob=final_prob)
+    u = as_seed(seed).stream().random((rows, config.block_size))
+    ftas = [_fta_from_bools(config, *_split_block(config, row)) for row in u]
+    seen = []
+
+    def recording(start, a1, a2, tg):
+        seen.append(sorted(zip(a1.tolist(), a2.tolist(), tg.tolist())))
+        return reachable_mask(start, a1, a2, tg)
+
+    with mock.patch.object(randgen, "reachable_mask", recording):
+        got = list(_trim_rows(config, u))
+    assert got == [k for k, fta in enumerate(ftas) if is_trim_ref(fta)]
+    assert seen == [sorted((t.args[0] - 1, t.args[1] - 1, t.target - 1)
+                           for t in fta.transitions if t.args)
+                    for fta in ftas if _necessary_for_trim(fta)]
+
+
 def test_generate_trim_exhausts():
     config = _config(n=3, d2=0.0, d0=0.0, max_attempts=40)
     with pytest.raises(ExhaustionError) as info:
         generate_trim(config, 1, 0)
     assert info.value.n == 3
     assert info.value.attempts == 40
+
+
+@pytest.mark.parametrize("setting", [Setting.A, Setting.B])
+@pytest.mark.parametrize("missing", [dict(final_prob=0.0), dict(d0=0.0)])
+def test_every_binary_rule_but_never_trim(setting, missing):
+    # d2 = 1 puts a rule in every binary cell, but without a final state or a
+    # nullary rule no draw is trim.  300 attempts end in a partial batch.
+    config = GenConfig(**{"n": 4, "alphabet": setting.alphabet, "d2": 1.0, "d0": 0.5,
+                          "max_attempts": 300, **missing})
+    with pytest.raises(ExhaustionError) as info:
+        generate_trim(config, 3, 0)
+    assert info.value.attempts == 300
+    assert trim_ratio(config, 60, 3).hits == 0
 
 
 def test_trim_ratio_extremes():
