@@ -9,6 +9,7 @@ it.  Reported sizes always exclude that sink.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -24,6 +25,10 @@ _BLOCK_ENTRIES = 1 << 16
 # Source states per lookup chunk: the members a subset has in one chunk
 # select one of 2**_CHUNK precomputed unions of images.
 _CHUNK = 6
+# Low mask bits that index determinize's table of known subsets: at most
+# 2**20 int32 slots (4 MB).  Up to this many source states a slot stands for
+# exactly one subset.
+_SLOT_BITS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +152,12 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     steps below the current subset count run in blocks, each interned at
     once, which gives the same numbers.
 
+    Interning reads a dense table first: a subset's slot is the low
+    ``_SLOT_BITS`` bits of its mask, and holds the first known subset with
+    those bits.  Up to ``_SLOT_BITS`` source states a filled slot is a hit;
+    past that, a hit must also equal the slot's subset word for word.  Only
+    the rows that miss are sorted, looked up by key and numbered.
+
     ``max_subsets`` bounds the number of discovered subsets (the worst case
     is 2**n); exceeding it raises BudgetError, and a negative bound raises
     InputError.
@@ -184,60 +195,91 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     np.bitwise_or.at(tgt, (s, 0, a1, a2, word[tg]), bit[tg])
     np.bitwise_or.at(tgt, (s, 1, a2, a1, word[tg]), bit[tg])
 
-    keys: list[bytes] = []
+    # index maps each known subset's key to its id, in id order.  slots[h]
+    # is the id of the first subset whose mask ends in the bits h; a free
+    # slot holds `empty`, which every id is below.
     index: dict[bytes, int] = {}
-    # bits[j, k] says whether source state k is in subset j; offs[j, c] is
-    # the lookup entry that subset j's members in chunk c select.
+    verify = n > _SLOT_BITS
+    slot_mask = np.uint64((1 << min(n, _SLOT_BITS)) - 1)
+    empty = np.iinfo(np.int32).max
+    slots = np.full(1 << min(n, _SLOT_BITS), empty, dtype=np.int32)
+    # found[j] is subset j's row; bits[j, k] says whether source state k is
+    # in subset j; offs[j, c] is the lookup entry that subset j's members in
+    # chunk c select.
+    found = np.zeros((16, n_words), dtype=np.uint64)
     bits = np.zeros((16, width), dtype=bool)
     offs = np.zeros((16, n_chunks), dtype=np.intp)
     chunk_weights = 1 << np.arange(_CHUNK)
     chunk_base = np.arange(n_chunks) << _CHUNK
 
-    def intern(rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """Subset ids of ``rows``, an array of rows of words.
+    def slot_of(rows: np.ndarray) -> np.ndarray:
+        return (rows[:, -1] & slot_mask).view(np.int64)
 
-        ``steps``, broadcast to the shape of the ids, gives the step that
-        makes each row.  Unseen subsets join ordered by the first step that
-        makes them, then by mask.
+    def number(rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Subset ids of ``rows``, made by ``steps``, through the key index.
+
+        Unseen subsets join ordered by the first step that makes them, then
+        by mask, and claim their slots where those are free.
         """
-        nonlocal bits, offs
-        shape = rows.shape[:-1]
-        rank = _row_ranks(rows.reshape(-1, n_words))
+        nonlocal found, bits, offs
+        rank = _row_ranks(rows)
         uniq = np.empty((int(rank.max()) + 1, n_words), dtype=np.uint64)
-        uniq[rank] = rows.reshape(-1, n_words)
+        uniq[rank] = rows
         ukeys = uniq.astype(">u8").view(f"V{8 * n_words}").ravel().tolist()
         ids = list(map(index.get, ukeys))
         if None in ids:
             unseen = np.array([got is None for got in ids])
             at = np.flatnonzero(unseen[rank])
             first = np.full(len(ids), np.iinfo(np.int64).max)
-            np.minimum.at(first, rank[at],
-                          np.broadcast_to(steps, shape)[np.unravel_index(at, shape)])
+            np.minimum.at(first, rank[at], steps[at])
             new = np.flatnonzero(unseen)
             new = new[np.argsort(first[new], kind="stable")]
-            start = len(keys)
+            start = len(index)
             for u in new.tolist():
-                ids[u] = index[ukeys[u]] = len(keys)
-                keys.append(ukeys[u])
-            if len(keys) > len(bits):
-                spare = 2 * len(keys)
+                ids[u] = index[ukeys[u]] = len(index)
+            count = len(index)
+            if count > len(bits):
+                spare = 2 * count
+                found = np.concatenate((found, np.zeros((spare, n_words), dtype=np.uint64)))
                 bits = np.concatenate((bits, np.zeros((spare, width), dtype=bool)))
                 offs = np.concatenate((offs, np.zeros((spare, n_chunks), dtype=np.intp)))
-            members = bits[start : len(keys)]
-            members[:, :n] = (uniq[new][:, word] & bit) != 0
-            offs[start : len(keys)] = (members.reshape(-1, n_chunks, _CHUNK)
-                                       @ chunk_weights + chunk_base)
-        return np.array(ids, dtype=np.int32)[rank].reshape(shape)
+            found[start:count] = uniq[new]
+            members = bits[start:count]
+            members[:, :n] = (found[start:count][:, word] & bit) != 0
+            offs[start:count] = (members.reshape(-1, n_chunks, _CHUNK)
+                                 @ chunk_weights + chunk_base)
+            # Ids only grow, so of the new subsets that share a free slot
+            # the first claims it, and a claimed slot keeps its subset.
+            np.minimum.at(slots, slot_of(found[start:count]),
+                          np.arange(start, count, dtype=np.int32))
+        return np.array(ids, dtype=np.int32)[rank]
+
+    def intern(rows: np.ndarray, step_of) -> np.ndarray:
+        """Subset ids of ``rows``, an array of rows of words.
+
+        A row whose slot names it is known.  The rest go through ``number``,
+        with the steps that ``step_of`` gives for their flat positions.
+        """
+        shape = rows.shape[:-1]
+        rows = rows.reshape(-1, n_words)
+        ids = slots[slot_of(rows)]
+        unknown = ids == empty
+        if verify:
+            # Past _SLOT_BITS states a slot is shared: check the whole row.
+            unknown |= (found.take(ids, axis=0, mode="clip") != rows).any(axis=1)
+        miss = np.flatnonzero(unknown)
+        if len(miss):
+            ids[miss] = number(rows[miss], step_of(miss))
+        return ids.reshape(shape)
 
     # The nullary images come first, in symbol order.
-    nullary_ids = dict(zip(nullary_syms,
-                           intern(null_imgs, np.arange(len(nullary_syms))).tolist()))
+    nullary_ids = dict(zip(nullary_syms, intern(null_imgs, lambda at: at).tolist()))
     tables = [np.empty((0, 0), dtype=np.int32) for _ in binary_syms]
     a = 0
-    while binary_syms and a < len(keys):
+    while binary_syms and a < len(index):
         # Steps below hi pair only subsets below hi, which all exist already,
         # so they run before any of their images is interned.
-        hi = len(keys)
+        hi = len(index)
         # The tables grow to exactly hi x hi, with one copy per round: large
         # fresh arrays go back to the system when freed, where tables grown
         # in place by realloc stayed on the heap and raised peak memory.
@@ -265,20 +307,23 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
             pair = np.take(look, offs[:b, 0], axis=3)
             for c in range(1, n_chunks):
                 pair |= np.take(look, offs[:b, c], axis=3)
-            # Pairs (i, j) and (j, i) belong to step max(i, j), symbol s.
-            steps = (np.maximum(np.arange(a, b)[:, None], np.arange(b))[:, None, None]
-                     * n_syms + np.arange(n_syms)[:, None, None])
-            ids = intern(pair, steps)
+
+            def step_of(at):
+                # Pairs (i, j) and (j, i) belong to step max(i, j), symbol s.
+                i, sym, _, j = np.unravel_index(at, pair.shape[:-1])
+                return np.maximum(a + i, j) * n_syms + sym
+
+            ids = intern(pair, step_of)
             for k, table in enumerate(tables):
                 table[a:b, :b] = ids[:, k, 0]
                 table[:b, a:b] = ids[:, k, 1].T
             # The count only grows, so one check per block is enough.
-            if max_subsets is not None and len(keys) > max_subsets:
+            if max_subsets is not None and len(index) > max_subsets:
                 raise BudgetError(f"subset construction exceeded {max_subsets} states "
                                   f"(source n={n})")
             a = b
 
-    masks = tuple(int.from_bytes(key, "big") for key in keys)
+    masks = tuple(int.from_bytes(key, "big") for key in index)
     fmask = sum(1 << pos[q] for q in fta.finals)
     return Dfta(
         source_states=src,
@@ -292,7 +337,12 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
 
 
 def det_size(dfta: Dfta) -> int:
-    """Number of accessible subset states, sink excluded."""
+    """Number of accessible subset states, sink excluded.
+
+    Deprecated: use ``Dfta.size``.
+    """
+    warnings.warn("det_size is deprecated; use Dfta.size", DeprecationWarning,
+                  stacklevel=2)
     return dfta.size
 
 

@@ -194,7 +194,9 @@ def generate_trim(config: GenConfig, seed: Seed | int, trial: int = 0) -> tuple[
         for c in _trim_rows(config, u):
             return _fta_from_bools(config, *_split_block(config, u[c])), attempts + c + 1
         attempts += take
-        batch = min(batch * 8, max(1, _BATCH_DOUBLES // block))
+        # Doubling keeps the rows drawn past the accepted one to at most
+        # about as many as the attempts before it.
+        batch = min(batch * 2, max(1, _BATCH_DOUBLES // block))
     raise ExhaustionError(config.n, config.d2, attempts)
 
 

@@ -75,7 +75,7 @@ def test_determinize_example_table(example_fta):
             if (i, j) not in expected:
                 assert table[i, j] == sink
     assert dfta.finals == {s13, s3}
-    assert det_size(dfta) == 4
+    assert dfta.size == 4
 
 
 def test_determinize_output_is_deterministic_fta(example_fta):
@@ -99,13 +99,15 @@ def test_determinize_no_nullary_rules(ab_alphabet):
     no_base = _fta(ab_alphabet, {1}, {1}, [("sigma", (1, 1), 1)])
     dfta = determinize(no_base)
     assert dfta.n_states == 1 and dfta.sink == 0
-    assert det_size(dfta) == 0
+    assert dfta.size == 0
     assert language_fingerprint(no_base, 3) == frozenset()
 
 
 def test_det_size_one_state_loop(ab_alphabet):
     loop = _fta(ab_alphabet, {1}, {1}, [("alpha", (), 1), ("sigma", (1, 1), 1)])
-    assert det_size(determinize(loop)) == 1
+    dfta = determinize(loop)
+    with pytest.warns(DeprecationWarning, match=r"use Dfta\.size"):
+        assert det_size(dfta) == dfta.size == 1
 
 
 def test_determinize_budget(example_fta):
@@ -302,11 +304,14 @@ def _peak_fta(setting, n, seed):
 
 # Peak instances at n = 6..13 with 60 to 1624 subsets; 7, 11 and 13 states
 # are not whole lookup chunks.
-@pytest.mark.parametrize("setting, n, seed", [
+_PEAK_CASES = [
     (Setting.A, 6, 6), (Setting.A, 7, 4), (Setting.A, 10, 8), (Setting.A, 11, 9),
     (Setting.A, 13, 3), (Setting.B, 7, 2), (Setting.B, 9, 9), (Setting.B, 11, 9),
     (Setting.B, 13, 8),
-])
+]
+
+
+@pytest.mark.parametrize("setting, n, seed", _PEAK_CASES)
 def test_determinize_block_boundaries(monkeypatch, setting, n, seed):
     fta = _peak_fta(setting, n, seed)
     expected = determinize(fta)
@@ -322,6 +327,19 @@ def test_determinize_block_boundaries(monkeypatch, setting, n, seed):
     for entries in (1, longer):
         with monkeypatch.context() as m:
             m.setattr(constructions, "_BLOCK_ENTRIES", entries)
+            assert _same_dfta(determinize(fta), expected)
+
+
+@pytest.mark.parametrize("setting, n, seed", _PEAK_CASES)
+def test_determinize_slot_collisions(monkeypatch, setting, n, seed):
+    fta = _peak_fta(setting, n, seed)
+    expected = determinize(fta)
+    # With 4 or 8 slots, many subsets share a slot: only the first of them
+    # is found there, and the others are told apart word for word.
+    for slot_bits in (2, 3):
+        assert len({mask % (1 << slot_bits) for mask in expected.subsets}) < expected.n_states
+        with monkeypatch.context() as m:
+            m.setattr(constructions, "_SLOT_BITS", slot_bits)
             assert _same_dfta(determinize(fta), expected)
 
 
@@ -492,7 +510,7 @@ def test_minimize_merges_equivalent_finals():
     # Two distinct final states with identical (empty) outgoing behavior
     # collapse to a single canonical state.
     dfta = determinize(m)
-    assert det_size(dfta) == 2
+    assert dfta.size == 2
     assert minimize(dfta).size == 1
     assert language_fingerprint(m, 2) == language_fingerprint(
         minimize(dfta).to_fta(), 2
@@ -522,7 +540,7 @@ def test_canonical_never_exceeds_det():
         config = GenConfig(n=4, alphabet=Setting.A.alphabet, d2=0.25, d0=0.5)
         fta = generate(config, as_seed(5).stream(i))
         dfta = determinize(fta)
-        assert minimize(dfta).size <= det_size(dfta) <= 2 ** 4 - 1
+        assert minimize(dfta).size <= dfta.size <= 2 ** 4 - 1
 
 
 def test_oracle_equivalence_small():

@@ -144,7 +144,7 @@ def test_generate_trim_postcondition():
 
 def test_generate_trim_reproducible_across_batching(monkeypatch):
     # Trial 2 first draws a trim automaton at attempt 164: inside the default's
-    # third batch (attempts 37-292) and inside a 7-row batch (attempts 158-165).
+    # sixth batch (attempts 125-252) and inside a 7-row batch (attempts 159-165).
     # With 150 attempts it exhausts, in a partial batch when batches hold 7 rows.
     config = _config(n=4, d2=0.01, d0=0.5)
     exhausting = _config(n=4, d2=0.01, d0=0.5, max_attempts=150)
@@ -157,6 +157,37 @@ def test_generate_trim_reproducible_across_batching(monkeypatch):
         with pytest.raises(ExhaustionError) as info:
             generate_trim(exhausting, 5, 2)
         assert info.value.attempts == 150
+
+
+def _generate_trim_one_row_at_a_time(config, seed, trial):
+    """generate_trim by its definition: one block of the stream per attempt,
+    judged by the reference fixpoints."""
+    stream = as_seed(seed).stream(trial)
+    for attempt in range(1, config.max_attempts + 1):
+        row = stream.random(config.block_size)
+        fta = _fta_from_bools(config, *_split_block(config, row))
+        if is_trim_ref(fta):
+            return fta, attempt
+    raise ExhaustionError(config.n, config.d2, config.max_attempts)
+
+
+# Sparse configs whose trials take 19 to 355 attempts at seed 11, so batches
+# of several sizes are crossed; three more trials run out of their budget.
+@pytest.mark.parametrize("setting, n, d2, max_attempts", [
+    (Setting.A, 4, 0.01, 1000), (Setting.A, 5, 0.004, 500), (Setting.B, 6, 0.002, 600),
+])
+def test_generate_trim_matches_one_row_at_a_time(setting, n, d2, max_attempts):
+    config = GenConfig(n=n, alphabet=setting.alphabet, d2=d2, d0=0.5,
+                       max_attempts=max_attempts)
+    for trial in range(4):
+        try:
+            expected = _generate_trim_one_row_at_a_time(config, 11, trial)
+        except ExhaustionError as err:
+            with pytest.raises(ExhaustionError) as info:
+                generate_trim(config, 11, trial)
+            assert info.value.attempts == err.attempts == max_attempts
+        else:
+            assert generate_trim(config, 11, trial) == expected
 
 
 def test_generate_trim_matches_rejection_over_generate():
