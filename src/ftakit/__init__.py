@@ -11,7 +11,6 @@ from .constructions import (
     Dfta,
     canonical_size,
     coreachable,
-    det_size,
     determinize,
     is_trim,
     isomorphic,
@@ -80,7 +79,7 @@ __all__ = [
     "Setting", "SettingsReport", "StateSet", "SweepResult", "Transition",
     "Tree", "TrimEstimate", "accepts", "as_seed", "canonical_size",
     "compare_settings", "coreachable", "densities_csv", "density_grid",
-    "det_size", "determinize", "enumerate_trees", "equivalence_failures",
+    "determinize", "enumerate_trees", "equivalence_failures",
     "evaluate", "fit_peak", "fit_records", "format_fta", "generate",
     "generate_trim", "is_deterministic", "is_trim", "isomorphic",
     "language_fingerprint", "minimize", "parse_fta", "peak_density", "pi2",

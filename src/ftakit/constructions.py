@@ -9,7 +9,6 @@ it.  Reported sizes always exclude that sink.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -336,16 +335,6 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     )
 
 
-def det_size(dfta: Dfta) -> int:
-    """Number of accessible subset states, sink excluded.
-
-    Deprecated: use ``Dfta.size``.
-    """
-    warnings.warn("det_size is deprecated; use Dfta.size", DeprecationWarning,
-                  stacklevel=2)
-    return dfta.size
-
-
 def reachable_mask(start: np.ndarray, a1: np.ndarray, a2: np.ndarray,
                    tg: np.ndarray) -> np.ndarray:
     """Least fixpoint of accessibility over state indices.
@@ -468,19 +457,14 @@ def _same_profile(blk: np.ndarray, succ_tables: list[np.ndarray],
     return same
 
 
-def _refine(blk: np.ndarray, succ_tables: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    """One refinement pass: group states by (block, successor-block profile).
-
-    Profiles are compared through a fixed 64-bit mixing hash first, summed
-    over blocks of table rows.  A state alone in its hash group gets a block
-    of its own; the members of a larger group are verified entry by entry
-    against the group's first unassigned member, so the resulting partition
-    is exact.
-    """
+def _profile_hashes(blk: np.ndarray, succ_tables: list[np.ndarray],
+                    w_row: np.ndarray, w_col: np.ndarray) -> np.ndarray:
+    """A 64-bit mixing hash of every state's successor-block profile, as
+    either argument under every symbol, summed over blocks of table rows.
+    Equal profiles give equal hashes."""
     n_states = len(blk)
-    w_row, w_col = _refinement_weights(n_states)
     blk64 = blk.astype(np.uint64)
-    acc = blk64 + np.uint64(0x9E3779B97F4A7C15)
+    acc = np.zeros(n_states, dtype=np.uint64)
     step = _block_rows(n_states)
     for table in succ_tables:
         row_hash = np.empty(n_states, dtype=np.uint64)
@@ -491,16 +475,38 @@ def _refine(blk: np.ndarray, succ_tables: list[np.ndarray]) -> tuple[np.ndarray,
             col_hash += w_col[a : a + step] @ succ
         acc = acc * np.uint64(0xBF58476D1CE4E5B9) + row_hash
         acc = acc * np.uint64(0x94D049BB133111EB) + col_hash
-    order = np.argsort(acc, kind="stable")
-    sorted_acc = acc[order]
-    group = np.concatenate(([True], sorted_acc[1:] != sorted_acc[:-1])).cumsum()
-    alone = np.bincount(group)[group] == 1
+    return acc
+
+
+def _refine(blk: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, int]:
+    """One hash pass: group states by the exact pair (block, profile hash).
+
+    The new partition refines ``blk`` by construction.  Since equal profiles
+    hash alike, states that are equivalent never separate; a hash collision
+    can only leave a block too coarse, which ``_verify`` catches.
+    """
+    order = np.lexsort((acc, blk))
+    b, a = blk[order], acc[order]
+    first = np.concatenate(([True], (b[1:] != b[:-1]) | (a[1:] != a[:-1])))
+    new_blk = np.empty(len(blk), dtype=np.int32)
+    new_blk[order] = first.cumsum() - 1
+    return new_blk, int(first.sum())
+
+
+def _verify(blk: np.ndarray, succ_tables: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """The exact check: split every block of more than one state entry by entry.
+
+    Each round, the first unassigned member of every block opens a new block
+    that takes in the members with its profile; the others wait for the next
+    round.  A state alone in its block keeps a block of its own unchecked.
+    """
+    order = np.argsort(blk, kind="stable")
+    group = blk[order]
+    alone = np.bincount(blk)[group] == 1
     next_id = int(alone.sum())
-    new_blk = np.empty(n_states, dtype=np.int32)
+    new_blk = np.empty(len(blk), dtype=np.int32)
     new_blk[order[alone]] = np.arange(next_id, dtype=np.int32)
-    # The rest, listed by group and ascending state within a group.  Each
-    # round, the first member of every group opens a new block that takes in
-    # the members with its profile; the others wait for the next round.
+    # The rest, listed by block and ascending state within a block.
     states, group = order[~alone], group[~alone]
     while states.size:
         first = np.concatenate(([True], group[1:] != group[:-1]))
@@ -523,8 +529,14 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     the successor matrices: the initial partition separates final from
     non-final states, and a block splits while two of its members disagree,
     under some symbol, argument position, and concrete co-argument, on the
-    successor's block.  The loop exits only after a pass without any split,
-    which re-checks the fixpoint.
+    successor's block.
+
+    Refinement passes compare profiles through a 64-bit hash only.  A
+    hash-stable pass is verified exactly once, entry by entry: if that check
+    splits nothing, the partition is a congruence, and since no pass ever
+    separates equivalent states it is the coarsest one; otherwise the passes
+    go on.  A partition into singletons needs no check.  When nothing
+    merges, the quotient is the input, and its tables are copies.
 
     Refinement and the quotient read the tables in blocks of rows, so they
     hold no array of |states|**2 entries besides the input and output tables.
@@ -532,17 +544,19 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     n_states = dfta.n_states
     binary_syms = dfta.alphabet.binary
     succ_tables = [dfta.binary[sym] for sym in binary_syms]
+    weights = _refinement_weights(n_states)
     is_final = np.zeros(n_states, dtype=bool)
     is_final[list(dfta.finals)] = True
     blk = is_final.astype(np.int32)
     n_blocks = len(np.unique(blk))
     while n_blocks < n_states:
-        new_blk, new_count = _refine(blk, succ_tables)
-        # new_blk refines blk (the old block is part of the profile), so an
-        # equal block count means the partition is stable.
+        new_blk, new_count = _refine(blk, _profile_hashes(blk, succ_tables, *weights))
+        # Both new partitions refine blk, so an equal block count means the
+        # partition did not change.
         if new_count == n_blocks:
-            blk = new_blk
-            break
+            new_blk, new_count = _verify(blk, succ_tables)
+            if new_count == n_blocks:
+                break
         blk, n_blocks = new_blk, new_count
 
     # Number blocks in order of first appearance; a block's first state
@@ -558,6 +572,10 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     binary = {}
     step = _block_rows(n_states)
     for sym, table in zip(binary_syms, succ_tables):
+        if n_min == n_states:
+            # blk and reps are the identity.
+            binary[sym] = table.astype(np.int32)
+            continue
         out = np.empty((n_min, n_min), dtype=np.int32)
         for a in range(0, n_min, step):
             np.take(blk, np.take(table[reps[a : a + step]], reps, axis=1),

@@ -19,7 +19,6 @@ from ftakit import (
     as_seed,
     canonical_size,
     coreachable,
-    det_size,
     determinize,
     generate,
     generate_trim,
@@ -106,8 +105,7 @@ def test_determinize_no_nullary_rules(ab_alphabet):
 def test_det_size_one_state_loop(ab_alphabet):
     loop = _fta(ab_alphabet, {1}, {1}, [("alpha", (), 1), ("sigma", (1, 1), 1)])
     dfta = determinize(loop)
-    with pytest.warns(DeprecationWarning, match=r"use Dfta\.size"):
-        assert det_size(dfta) == dfta.size == 1
+    assert dfta.size == 1
 
 
 def test_determinize_budget(example_fta):
@@ -397,18 +395,31 @@ def _canonical_state_of(dfta, canonical):
     return to
 
 
-@settings(max_examples=200, deadline=None)
-@given(_binary_ftas(), st.data())
-def test_minimize_matches_reference(case, data):
-    fta = case[0]
-    dfta = determinize(fta)
-    canonical = minimize(dfta)
+def _check_classes(dfta, canonical):
+    """``canonical`` has one state per Myhill-Nerode class of ``dfta``."""
     classes = equivalence_classes(dfta)
     assert canonical.n_states == len(classes)
     to = _canonical_state_of(dfta, canonical)
     assert len(to) == dfta.n_states
     assert {frozenset(p for p in to if to[p] == q) for q in to.values()} == classes
     assert all((to[p] in canonical.finals) == (p in dfta.finals) for p in to)
+
+
+def _colliding_weights(size):
+    return (np.zeros(size, dtype=np.uint64),) * 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_binary_ftas(), st.data())
+def test_minimize_matches_reference(case, data):
+    fta = case[0]
+    dfta = determinize(fta)
+    canonical = minimize(dfta)
+    _check_classes(dfta, canonical)
+    with pytest.MonkeyPatch.context() as m:
+        # Every profile hashes alike, so the exact check makes every split.
+        m.setattr(constructions, "_refinement_weights", _colliding_weights)
+        assert _same_canonical(minimize(dfta), canonical)
     ids = data.draw(st.lists(st.integers(0, 60), min_size=fta.n, max_size=fta.n,
                              unique=True))
     renamed = _spread(fta, dict(zip(sorted(fta.states), ids)), ids)
@@ -441,6 +452,36 @@ def test_minimize_collision_and_block_paths(monkeypatch, setting, n, seed):
         # Blocks of 7 rows, the last one partial.
         m.setattr(constructions, "_BLOCK_ENTRIES", 7 * dfta.n_states)
         assert _same_canonical(minimize(dfta), expected)
+
+
+def test_refine_keeps_old_blocks_apart():
+    # States 1, 2 and 3 hash alike, but state 1 is in another block.
+    blk = np.array([0, 0, 1, 1, 0], dtype=np.int32)
+    acc = np.array([9, 5, 5, 5, 9], dtype=np.uint64)
+    new_blk, count = constructions._refine(blk, acc)
+    assert count == 3
+    assert sorted(np.flatnonzero(new_blk == b).tolist() for b in range(count)) == [
+        [0, 4], [1], [2, 3]]
+
+
+# Golden peak instances: no two subset states merge in the first two (255
+# and 124 states), and 87 merge into 61 in the third.
+@pytest.mark.parametrize("setting, n, seed, n_canonical", [
+    (Setting.A, 8, 3, 255), (Setting.B, 7, 2, 124), (Setting.A, 8, 23, 61),
+])
+def test_minimize_identity_and_general_quotient(setting, n, seed, n_canonical):
+    dfta = determinize(_peak_fta(setting, n, seed))
+    canonical = minimize(dfta)
+    assert canonical.n_states == n_canonical
+    _check_classes(dfta, canonical)
+    if n_canonical < dfta.n_states:
+        return
+    assert (canonical.nullary, canonical.finals, canonical.sink) == (
+        dfta.nullary, dfta.finals, dfta.sink)
+    for sym, table in dfta.binary.items():
+        assert canonical.binary[sym].dtype == np.int32
+        assert np.array_equal(canonical.binary[sym], table)
+        assert not np.shares_memory(canonical.binary[sym], table)
 
 
 def test_reachable(example_fta, ab_alphabet):
