@@ -39,6 +39,14 @@ class Dfta:
     is the successor index for symbol ``sym`` applied to subsets i and j; the
     table is total over the discovered subsets, so determinism holds by
     construction.
+
+    ``dead`` holds the subsets that no context carries into acceptance.  A
+    context run on a subset gives the union of the source's runs from each
+    of its members, and the sibling subtrees of a context evaluate to
+    accessible subsets, which hold only reachable source states.  So a
+    subset is dead exactly when it holds no source state that is
+    co-reachable from the finals.  For a trim source ``dead`` is
+    ``{sink}``, or empty when there is no sink.
     """
 
     source_states: tuple[int, ...]
@@ -48,6 +56,7 @@ class Dfta:
     binary: Mapping[str, np.ndarray]
     finals: frozenset[int]
     sink: int | None
+    dead: frozenset[int]
 
     @property
     def n_states(self) -> int:
@@ -138,6 +147,24 @@ def _row_ranks(rows: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _rules(fta: Fta, what: str):
+    """The sorted states, each state's position among them, and the nullary
+    rules (symbol, target) and binary rules (symbol, left, right, target) as
+    transposed arrays of positions, symbols numbered in alphabet order."""
+    _require_binary_alphabet(fta, what)
+    states = tuple(sorted(fta.states))
+    pos = {q: k for k, q in enumerate(states)}
+    nullary_syms, binary_syms = fta.alphabet.nullary, fta.alphabet.binary
+    nullary = np.array([(nullary_syms.index(t.symbol), pos[t.target])
+                        for t in fta.transitions if not t.args],
+                       dtype=np.intp).reshape(-1, 2).T
+    binary = np.array([(binary_syms.index(t.symbol), pos[t.args[0]],
+                        pos[t.args[1]], pos[t.target])
+                       for t in fta.transitions if t.args],
+                      dtype=np.intp).reshape(-1, 4).T
+    return states, pos, nullary, binary
+
+
 def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     """Accessible subset construction.
 
@@ -157,15 +184,16 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     past that, a hit must also equal the slot's subset word for word.  Only
     the rows that miss are sorted, looked up by key and numbered.
 
+    A subset is dead exactly when it holds no source state co-reachable
+    from the finals (see ``Dfta``), which two fixpoints on n states find.
+
     ``max_subsets`` bounds the number of discovered subsets (the worst case
     is 2**n); exceeding it raises BudgetError, and a negative bound raises
     InputError.
     """
-    _require_binary_alphabet(fta, "determinize")
+    src, pos, (null_s, null_tg), (s, a1, a2, tg) = _rules(fta, "determinize")
     if max_subsets is not None and max_subsets < 0:
         raise InputError(f"max_subsets must be at least 0, got {max_subsets}")
-    src = tuple(sorted(fta.states))
-    pos = {q: k for k, q in enumerate(src)}
     n = len(src)
     # A subset is a row of uint64 words, word 0 the most significant, so rows
     # sort like the masks they spell; bit k stands for source state k.
@@ -179,17 +207,10 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     nullary_syms = fta.alphabet.nullary
     binary_syms = fta.alphabet.binary
     n_syms = len(binary_syms)
-    s, tg = np.array([(nullary_syms.index(t.symbol), pos[t.target])
-                      for t in fta.transitions if not t.args],
-                     dtype=np.intp).reshape(-1, 2).T
     null_imgs = np.zeros((len(nullary_syms), n_words), dtype=np.uint64)
-    np.bitwise_or.at(null_imgs, (s, word[tg]), bit[tg])
+    np.bitwise_or.at(null_imgs, (null_s, word[null_tg]), bit[null_tg])
     # tgt[s, 0, p, q] is the image of s(p, q) and tgt[s, 1, q, p] is it again,
     # so the images over either argument position reduce along one axis.
-    s, a1, a2, tg = np.array([(binary_syms.index(t.symbol), pos[t.args[0]],
-                               pos[t.args[1]], pos[t.target])
-                              for t in fta.transitions if t.args],
-                             dtype=np.intp).reshape(-1, 4).T
     tgt = np.zeros((n_syms, 2, width, width, n_words), dtype=np.uint64)
     np.bitwise_or.at(tgt, (s, 0, a1, a2, word[tg]), bit[tg])
     np.bitwise_or.at(tgt, (s, 1, a2, a1, word[tg]), bit[tg])
@@ -324,6 +345,9 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
 
     masks = tuple(int.from_bytes(key, "big") for key in index)
     fmask = sum(1 << pos[q] for q in fta.finals)
+    reach = reachable_mask(_marked(n, null_tg), a1, a2, tg)
+    core = coreachable_mask(_marked(n, [pos[q] for q in fta.finals]), reach, a1, a2, tg)
+    live = sum(1 << k for k in np.flatnonzero(core).tolist())
     return Dfta(
         source_states=src,
         alphabet=fta.alphabet,
@@ -332,7 +356,15 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
         binary=dict(zip(binary_syms, tables)),
         finals=frozenset(k for k, m in enumerate(masks) if m & fmask),
         sink=index.get(bytes(8 * n_words)),
+        dead=frozenset(k for k, m in enumerate(masks) if not m & live),
     )
+
+
+def _marked(n: int, positions) -> np.ndarray:
+    """A bool mask over n positions that is true at ``positions``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[positions] = True
+    return mask
 
 
 def reachable_mask(start: np.ndarray, a1: np.ndarray, a2: np.ndarray,
@@ -369,23 +401,14 @@ def coreachable_mask(start: np.ndarray, reach: np.ndarray, a1: np.ndarray,
 
 def _fixpoints(fta: Fta, what: str, from_: Iterable[int] | None = None):
     """Reachable states, and states co-reachable from ``from_`` (default: the finals)."""
-    _require_binary_alphabet(fta, what)
-    ids = np.array(sorted(fta.states), dtype=np.int64)
-    index = {q: k for k, q in enumerate(ids.tolist())}
-    nullary = np.zeros(len(ids), dtype=bool)
-    binary = []
-    for t in fta.transitions:
-        if t.args:
-            binary.append((index[t.args[0]], index[t.args[1]], index[t.target]))
-        else:
-            nullary[index[t.target]] = True
-    a1, a2, tg = np.array(binary, dtype=np.intp).reshape(-1, 3).T
+    states, pos, (_, null_tg), (_, a1, a2, tg) = _rules(fta, what)
+    ids = np.array(states, dtype=np.int64)
     start = np.zeros(len(ids), dtype=bool)
     for q in fta.finals if from_ is None else from_:
-        if q not in index:
+        if q not in pos:
             raise InputError(f"{what}: {q} is not a state of the automaton")
-        start[index[q]] = True
-    reach = reachable_mask(nullary, a1, a2, tg)
+        start[pos[q]] = True
+    reach = reachable_mask(_marked(len(ids), null_tg), a1, a2, tg)
     core = coreachable_mask(start, reach, a1, a2, tg)
     return StateSet.from_iter(ids[reach].tolist()), StateSet.from_iter(ids[core].tolist())
 
@@ -540,6 +563,9 @@ def minimize(dfta: Dfta) -> CanonicalFta:
 
     Refinement and the quotient read the tables in blocks of rows, so they
     hold no array of |states|**2 entries besides the input and output tables.
+
+    The sink is the block of ``dfta.dead``, the subsets that hold no
+    co-reachable source state; no table is read after the quotient.
     """
     n_states = dfta.n_states
     binary_syms = dfta.alphabet.binary
@@ -582,24 +608,9 @@ def minimize(dfta: Dfta) -> CanonicalFta:
                     out=out[a : a + step])
         binary[sym] = out
     finals = frozenset(int(blk[f]) for f in dfta.finals)
-
-    # The dead block, if any, is the unique block no context carries into
-    # acceptance; it plays the sink role in the canonical automaton.
-    # A pass reads the tables in row blocks and marks states as they join, so
-    # later blocks of the same pass already see them.
-    alive = np.zeros(n_min, dtype=bool)
-    alive[list(finals)] = True
-    step = _block_rows(n_min)
-    while True:
-        before = int(alive.sum())
-        for table in binary.values():
-            for a in range(0, n_min, step):
-                succ_alive = np.take(alive, table[a : a + step])
-                alive[a : a + step] |= succ_alive.any(axis=1)
-                alive |= succ_alive.any(axis=0)
-        if int(alive.sum()) == before:
-            break
-    dead = np.flatnonzero(~alive)
+    # Dead states all have the empty residual language, so a congruence
+    # that separates two of them is not the coarsest one.
+    dead = np.unique(blk[list(dfta.dead)])
     if len(dead) > 1:
         raise RuntimeError("distinct dead states survived refinement")
     sink = int(dead[0]) if len(dead) else None

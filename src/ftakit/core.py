@@ -252,12 +252,6 @@ class Fta:
     def final_set(self) -> StateSet:
         return StateSet.from_iter(self.finals)
 
-    def transitions_by_symbol(self) -> dict[str, list[Transition]]:
-        index: dict[str, list[Transition]] = {}
-        for t in sorted(self.transitions):
-            index.setdefault(t.symbol, []).append(t)
-        return index
-
 
 def sigma_bar(fta: Fta, symbol: str, args: Sequence[StateSet]) -> StateSet:
     """Lift the transition rules of ``symbol`` to sets of states.

@@ -132,8 +132,9 @@ class PeakFit:
         return self.lo <= other.hi and other.lo <= self.hi
 
 
-def fit_peak(points: Iterable[tuple[float, float]], *, z: float = 1.96) -> PeakFit:
+def fit_peak(points: Iterable[tuple[float, float]]) -> PeakFit:
     """Weighted mean and deviation of log-density over positive-weight points."""
+    z = 1.96
     data = [(d, w) for d, w in points if w > 0]
     if len(data) < 3:
         raise FitError(f"need at least 3 positive-weight points, got {len(data)}")
@@ -173,7 +174,6 @@ def run_point(
     seed: Seed | int,
     *,
     d0: float = 0.5,
-    final_prob: float = 0.5,
     x: int | None = None,
     max_attempts: int = SWEEP_MAX_ATTEMPTS,
 ) -> PointRecord:
@@ -193,7 +193,6 @@ def run_point(
         alphabet=setting.alphabet,
         d2=d2,
         d0=d0,
-        final_prob=final_prob,
         max_attempts=max_attempts,
     )
     base = seed.child(_POINT_TAG, setting.code, n, float_key(d2), float_key(d0))
@@ -340,15 +339,11 @@ def table_densities(
     steps: int = 40,
     trials: int = 40,
     workers: int | None = None,
-    max_attempts: int = SWEEP_MAX_ATTEMPTS,
 ) -> list[DensityRow]:
     """Expected and observed peak densities (with intervals) per state count."""
     rows = []
     for n in n_values:
-        sweep = run_sweep(
-            setting, n, seed,
-            steps=steps, trials=trials, workers=workers, max_attempts=max_attempts,
-        )
+        sweep = run_sweep(setting, n, seed, steps=steps, trials=trials, workers=workers)
         rows.append(DensityRow(
             n=n,
             expected=peak_density(n),
@@ -471,17 +466,14 @@ def compare_settings(
     steps: int = 40,
     trials: int = 40,
     workers: int | None = None,
-    max_attempts: int = SWEEP_MAX_ATTEMPTS,
     sweeps: tuple[SweepResult, SweepResult] | None = None,
 ) -> SettingsReport:
     """Run (or reuse) both settings' sweeps at one n and compare the peaks."""
     if sweeps is not None:
         sweep_a, sweep_b = sweeps
     else:
-        sweep_a = run_sweep(Setting.A, n, seed, steps=steps, trials=trials,
-                            workers=workers, max_attempts=max_attempts)
-        sweep_b = run_sweep(Setting.B, n, seed, steps=steps, trials=trials,
-                            workers=workers, max_attempts=max_attempts)
+        sweep_a = run_sweep(Setting.A, n, seed, steps=steps, trials=trials, workers=workers)
+        sweep_b = run_sweep(Setting.B, n, seed, steps=steps, trials=trials, workers=workers)
     mid = steps // 2
     mean_a = sweep_a.record_at(mid).mean_det_size
     mean_b = sweep_b.record_at(mid).mean_det_size
@@ -503,16 +495,14 @@ def equivalence_failures(
     seed: Seed | int,
     *,
     height: int = 4,
-    setting: Setting = Setting.A,
-    n_range: tuple[int, int] = (2, 4),
-    max_attempts: int = 50_000,
 ) -> list[str]:
     """Cross-check the whole pipeline against the finite-language oracle.
 
-    For each case, a random trim automaton (with n and densities drawn from
-    the case's stream) is determinized and minimized, and the accepted-tree
-    sets up to ``height`` are compared across all three stages.  Returns a
-    description per failing case; an empty list means every language agreed.
+    For each case, a random trim setting-A automaton (n in 2..4 and the
+    densities drawn from the case's stream, at most 50,000 attempts) is
+    determinized and minimized, and the accepted-tree sets up to ``height``
+    are compared across all three stages.  Returns a description per failing
+    case; an empty list means every language agreed.
     ``cases`` must be at least 1, so that an empty list always means something
     was checked.
     """
@@ -522,11 +512,11 @@ def equivalence_failures(
     failures: list[str] = []
     for i in range(cases):
         rng = seed.stream(_CHECK_TAG, i)
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        n = int(rng.integers(2, 5))
         d2 = float(np.exp(rng.uniform(np.log(0.08), 0.0)))
         d0 = float(rng.uniform(0.3, 0.9))
         config = GenConfig(
-            n=n, alphabet=setting.alphabet, d2=d2, d0=d0, max_attempts=max_attempts
+            n=n, alphabet=Setting.A.alphabet, d2=d2, d0=d0, max_attempts=50_000
         )
         fta, _ = generate_trim(config, seed.child(_CHECK_TAG, i), 0)
         dfta = determinize(fta)

@@ -33,7 +33,8 @@ from ftakit import (
 from ftakit import constructions
 from ftakit.density import peak_density
 from determinize_reference import determinize_ref
-from minimize_reference import equivalence_classes
+from language_reference import language_mismatch
+from minimize_reference import dead_states, equivalence_classes
 from trim_reference import coreachable_ref, is_trim_ref, reachable_ref, trim_ref
 
 
@@ -569,6 +570,64 @@ def test_minimize_rejects_distinct_dead_states(ab_alphabet, monkeypatch):
                         lambda blk, tables: (np.arange(len(blk), dtype=np.int32), len(blk)))
     with pytest.raises(RuntimeError, match="distinct dead states"):
         minimize(dfta)
+
+
+# Probabilities on a grid of twentieths, 0 and 1 included.
+_PROBABILITY = st.integers(0, 20).map(lambda k: k / 20)
+_ALPHABETS = st.sampled_from([Setting.A.alphabet, Setting.B.alphabet])
+
+
+def _near_peak(n):
+    """Binary densities within a factor of 2 of the peak, where subset
+    automata are largest."""
+    peak = peak_density(max(n, 2))
+    return st.integers(-4, 4).map(lambda e: min(1.0, peak * 2.0 ** (e / 4)))
+
+
+@st.composite
+def _generated_ftas(draw, max_n):
+    """Sources that need not be trim, from any densities and final probability."""
+    n = draw(st.integers(1, max_n))
+    config = GenConfig(n=n, alphabet=draw(_ALPHABETS),
+                       d2=draw(st.one_of(_PROBABILITY, _near_peak(n))),
+                       d0=draw(_PROBABILITY), final_prob=draw(_PROBABILITY))
+    return generate(config, as_seed(draw(st.integers(0, 2 ** 32))).stream())
+
+
+@st.composite
+def _trim_peak_ftas(draw, max_n):
+    """Trim sources of 4 or more states near the peak density, drawn as the
+    sweeps draw them."""
+    n = draw(st.integers(4, max_n))
+    config = GenConfig(n=n, alphabet=draw(_ALPHABETS), d2=draw(_near_peak(n)), d0=0.5)
+    return generate_trim(config, draw(st.integers(0, 2 ** 32)))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generated_ftas(6))
+def test_dead_subsets_match_reference(fta):
+    # Unreachable and useless source states make nonempty subsets dead, and
+    # with no final state every subset is.
+    dfta = determinize(fta)
+    dead = dead_states(dfta)
+    assert dfta.dead == dead
+    canonical = minimize(dfta)
+    to = _canonical_state_of(dfta, canonical)
+    assert {to[p] for p in dead} == {canonical.sink} - {None}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_trim_peak_ftas(7), _generated_ftas(7)))
+def test_pipeline_language_is_exact(fta):
+    assert language_mismatch(fta, minimize(determinize(fta))) is None
+
+
+@pytest.mark.parametrize("setting, n, seed", [
+    (Setting.A, 8, 23), (Setting.A, 9, 20), (Setting.B, 8, 2), (Setting.B, 9, 9),
+])
+def test_pipeline_language_is_exact_at_peak(setting, n, seed):
+    fta = _peak_fta(setting, n, seed)
+    assert language_mismatch(fta, minimize(determinize(fta))) is None
 
 
 def test_canonical_size_empty_language(ab_alphabet):
