@@ -244,13 +244,16 @@ class SweepResult:
 
 
 def _resolve_workers(workers: int | None) -> int:
+    name = "workers"
     if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
+        name, raw = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
         try:
             workers = int(raw)
         except ValueError:
             raise InputError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, workers)
+    if workers < 1:
+        raise InputError(f"{name} must be at least 1, got {workers}")
+    return workers
 
 
 def _call_in_order(calls: list, workers: int) -> list:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +55,24 @@ class Seed:
         return Seed(self.master, self.path + tuple(int(k) for k in key))
 
     def stream(self, *key: int) -> np.random.Generator:
-        entropy = (self.master, *self.path, *(int(k) for k in key))
+        """The stream of ``SeedSequence((master, *path, *key))``.
+
+        numpy turns a tuple of ints into entropy words one int at a time,
+        a small array each, which is over a third of the cost of opening a
+        stream.  The words are each int's little-endian 32-bit words, at
+        least one per int; building them here and passing one uint32 array
+        gives every stream bit for bit.
+        """
+        words = []
+        for k in (self.master, *self.path, *key):
+            k = int(k)
+            if k < 0:
+                raise ValueError(f"stream key {k} is negative")
+            words.append(k & 0xFFFFFFFF)
+            while k > 0xFFFFFFFF:
+                k >>= 32
+                words.append(k & 0xFFFFFFFF)
+        entropy = np.array(words, dtype=np.uint32)
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
@@ -131,16 +148,18 @@ def generate(config: GenConfig, stream: np.random.Generator) -> Fta:
     return _fta_from_bools(config, *_split_block(config, u))
 
 
-def _trim_rows(config: GenConfig, u: np.ndarray) -> Iterator[int]:
+def _trim_rows(config: GenConfig, u: np.ndarray) -> np.ndarray:
     """Indices, in order, of the rows of a batch of blocks that draw trim automata.
 
     The batch's binary rules are one sorted list of flat cells
-    ``row * width + ((s * n + q1) * n + q2) * n + q``.  A trim automaton needs
-    every state to have an incoming rule, every non-final state to occur on
-    some binary left-hand side, and at least one final state; scattering the
-    rule list into two (rows, n) masks checks that for every row at once and
-    rejects almost all sparse draws.  Each surviving row then runs the
-    fixpoints on its own slice of the list.
+    ``row * width + ((s * n + q1) * n + q2) * n + q``, decoded once into
+    (row, q1, q2, q).  A trim automaton needs every state to have an incoming
+    rule, every non-final state to occur on some binary left-hand side, and
+    at least one final state; scattering the rules into two (rows, n) masks
+    checks that for every row at once and rejects almost all sparse draws.
+    The rules of the surviving rows then form one disjoint union, state q of
+    the i-th candidate becoming ``i * n + q``, so a single run of each
+    fixpoint decides every candidate.
     """
     n = config.n
     rows = u.shape[0]
@@ -150,30 +169,31 @@ def _trim_rows(config: GenConfig, u: np.ndarray) -> Iterator[int]:
     finals = u[:, :n] < config.final_prob
     nullary = (u[:, n:off] < config.d0).reshape(rows, s0, n).any(axis=1)
     # A batch holds fewer than 2**31 doubles, so int32 positions cannot overflow.
-    pos = np.flatnonzero(u[:, off:] < config.d2).astype(np.int32)
-    base = pos // max(width, 1)  # each rule's row, as a flat offset into (rows, n)
-    base *= n
+    cell = np.flatnonzero(u[:, off:] < config.d2).astype(np.int32)
+    row = cell // max(width, 1)
+    cell -= row * width
+    tg = cell % n
+    cell //= n
+    a2 = cell % n
+    cell //= n
+    a1 = cell % n
+    base = row * n  # each rule's row, as a flat offset into (rows, n)
     incoming, on_lhs = nullary.copy(), finals.copy()
-    for mask, digit in ((incoming, 1), (on_lhs, n), (on_lhs, n * n)):
-        state = pos // digit
-        state %= n
-        state += base
-        mask.reshape(-1)[state] = True
-    del base, state  # a suspended generator would keep them alive
+    incoming.reshape(-1)[base + tg] = True
+    on_lhs.reshape(-1)[base + a1] = True
+    on_lhs.reshape(-1)[base + a2] = True
     ok = incoming.all(axis=1) & on_lhs.all(axis=1) & finals.any(axis=1)
     cands = np.flatnonzero(ok)
-    edges = np.searchsorted(pos, np.stack((cands, cands + 1)).astype(np.int32) * width)
-    for c, lo, hi in zip(cands.tolist(), *edges.tolist()):
-        cell = pos[lo:hi].astype(np.int64)
-        cell -= c * width
-        tg = cell % n
-        cell //= n
-        a2 = cell % n
-        cell //= n
-        a1 = cell % n
-        reach = reachable_mask(nullary[c], a1, a2, tg)
-        if reach.all() and coreachable_mask(finals[c], reach, a1, a2, tg).all():
-            yield c
+    if not cands.size:
+        return cands
+    first = np.zeros(rows, dtype=np.int32)  # a candidate's first state in the union
+    first[cands] = np.arange(0, cands.size * n, n, dtype=np.int32)
+    keep = ok[row]
+    shift = first[row[keep]]
+    a1, a2, tg = a1[keep] + shift, a2[keep] + shift, tg[keep] + shift
+    reach = reachable_mask(nullary[cands].reshape(-1), a1, a2, tg)
+    core = coreachable_mask(finals[cands].reshape(-1), reach, a1, a2, tg)
+    return cands[(reach & core).reshape(-1, n).all(axis=1)]
 
 
 def generate_trim(config: GenConfig, seed: Seed | int, trial: int = 0) -> tuple[Fta, int]:
@@ -191,7 +211,9 @@ def generate_trim(config: GenConfig, seed: Seed | int, trial: int = 0) -> tuple[
     while attempts < config.max_attempts:
         take = min(batch, config.max_attempts - attempts)
         u = stream.random((take, block))
-        for c in _trim_rows(config, u):
+        hits = _trim_rows(config, u)
+        if hits.size:
+            c = int(hits[0])
             return _fta_from_bools(config, *_split_block(config, u[c])), attempts + c + 1
         attempts += take
         # Doubling keeps the rows drawn past the accepted one to at most
@@ -222,7 +244,7 @@ def trim_ratio(config: GenConfig, trials: int, seed: Seed | int) -> TrimEstimate
         count = min(chunk, trials - start)
         for k in range(count):
             seed.stream(start + k).random(out=u[k])
-        hits += sum(1 for _ in _trim_rows(config, u[:count]))
+        hits += _trim_rows(config, u[:count]).size
     ratio = hits / trials
     half = 1.96 * math.sqrt(ratio * (1.0 - ratio) / trials)
     return TrimEstimate(ratio, half, trials, hits)

@@ -195,3 +195,16 @@ def test_exit_code_bad_workers_env(runner):
                                   "--seed", "1"], env={"FTAKIT_WORKERS": "many"})
     assert result.exit_code == 3
     assert result.stderr.splitlines()[-1] == "error: FTAKIT_WORKERS must be an integer, got 'many'"
+
+
+@pytest.mark.parametrize("flag, env, message", [
+    (["--workers", "0"], {}, "workers must be at least 1, got 0"),
+    (["--workers", "-3"], {}, "workers must be at least 1, got -3"),
+    ([], {"FTAKIT_WORKERS": "0"}, "FTAKIT_WORKERS must be at least 1, got 0"),
+])
+def test_exit_code_workers_below_one(runner, flag, env, message):
+    result = runner.invoke(main, ["sweep", "--n", "3", "--steps", "2", "--trials", "1",
+                                  "--seed", "1", *flag], env=env)
+    assert result.exit_code == 3
+    assert result.stderr.splitlines()[-1] == f"error: {message}"
+    assert result.stdout == ""

@@ -108,6 +108,17 @@ def test_workers_env_must_be_an_integer(monkeypatch):
         run_sweep(Setting.A, 3, 1, steps=2, trials=1)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_must_be_positive(monkeypatch, workers):
+    with pytest.raises(InputError, match=f"workers must be at least 1, got {workers}"):
+        run_sweep(Setting.A, 3, 1, steps=2, trials=1, workers=workers)
+    with pytest.raises(InputError, match="workers must be at least 1"):
+        table_trim(1, trials=1, workers=workers)
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
+    with pytest.raises(InputError, match=f"{WORKERS_ENV} must be at least 1"):
+        run_sweep(Setting.A, 3, 1, steps=2, trials=1)
+
+
 def test_run_point_exhaustion_is_recorded():
     rec = run_point(Setting.A, 4, 0.0005, 4, 11, max_attempts=50)
     assert rec.exhausted

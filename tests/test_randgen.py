@@ -58,6 +58,22 @@ def test_seed_validation_and_paths():
     assert s.child(3).path == (1, 2, 3)
 
 
+@pytest.mark.parametrize("master", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1])
+@pytest.mark.parametrize("path, key", [
+    ((), ()),
+    ((), (5,)),
+    ((0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 7, 2 ** 63, 2 ** 64 - 1, 3, 0, 9), (4,)),
+    ((7,), (0, 2 ** 32, 2 ** 64 - 1, 2 ** 70 + 1)),
+])
+def test_stream_is_numpys_seed_sequence(master, path, key):
+    # Seed.stream builds the entropy words itself; the stream must be the one
+    # numpy derives from the same tuple of ints.
+    reference = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((master, *path, *key))))
+    got = Seed(master, path).stream(*key).random(8)
+    assert got.tolist() == reference.random(8).tolist()
+
+
 def test_block_size():
     assert _config(n=3).block_size == 3 + 3 + 27
     cfg_b = GenConfig(n=2, alphabet=Setting.B.alphabet, d2=0.5, d0=0.5)
@@ -239,8 +255,9 @@ def _necessary_for_trim(fta) -> bool:
        d0=_PROBABILITY, final_prob=_PROBABILITY, seed=st.integers(0, 2 ** 32))
 def test_trim_rows_match_reference(setting, n, rows, d2, d0, final_prob, seed):
     # The batched filter keeps exactly the rows whose automata the reference
-    # calls trim, and runs the fixpoints exactly on the rows that meet the
-    # necessary conditions, each with that row's own binary rules.
+    # calls trim.  The fixpoints run once, on the disjoint union of the rows
+    # that meet the necessary conditions: state q of the i-th such row is
+    # i * n + q, and component i holds exactly that row's binary rules.
     config = GenConfig(n=n, alphabet=setting.alphabet, d2=d2, d0=d0,
                        final_prob=final_prob)
     u = as_seed(seed).stream().random((rows, config.block_size))
@@ -248,15 +265,21 @@ def test_trim_rows_match_reference(setting, n, rows, d2, d0, final_prob, seed):
     seen = []
 
     def recording(start, a1, a2, tg):
-        seen.append(sorted(zip(a1.tolist(), a2.tolist(), tg.tolist())))
+        seen.append(list(zip(a1.tolist(), a2.tolist(), tg.tolist())))
         return reachable_mask(start, a1, a2, tg)
 
     with mock.patch.object(randgen, "reachable_mask", recording):
         got = list(_trim_rows(config, u))
     assert got == [k for k, fta in enumerate(ftas) if is_trim_ref(fta)]
-    assert seen == [sorted((t.args[0] - 1, t.args[1] - 1, t.target - 1)
-                           for t in fta.transitions if t.args)
-                    for fta in ftas if _necessary_for_trim(fta)]
+    expected = [sorted((t.args[0] - 1, t.args[1] - 1, t.target - 1)
+                       for t in fta.transitions if t.args)
+                for fta in ftas if _necessary_for_trim(fta)]
+    assert len(seen) == (1 if expected else 0)
+    components = [[] for _ in expected]
+    for rule in (seen[0] if seen else []):
+        i = rule[2] // n
+        components[i].append(tuple(q - i * n for q in rule))
+    assert [sorted(c) for c in components] == expected
 
 
 def test_generate_trim_exhausts():
