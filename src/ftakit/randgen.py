@@ -25,12 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constructions import coreachable_mask, reachable_mask
 from .core import Fta, RankedAlphabet, Transition
 from .errors import ExhaustionError, InputError
 
 # Upper bounds on the uniform doubles per vectorized batch.  trim_ratio's 0.5 MB
 # batches keep its peak memory apart from how the allocator reuses freed ones.
+# A block holds at least n**3 doubles, so the float32 rule matrices of a batch's
+# candidate rows (4 bytes * n**3 each) take at most 16 MB at 4M doubles.
 _BATCH_DOUBLES, _RATIO_BATCH_DOUBLES = 4_000_000, 62_500
 
 
@@ -148,52 +149,91 @@ def generate(config: GenConfig, stream: np.random.Generator) -> Fta:
     return _fta_from_bools(config, *_split_block(config, u))
 
 
+def _trim_masks(nullary: np.ndarray, finals: np.ndarray,
+                t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reachable and co-reachable masks, (c, n) each, of c automata at once.
+
+    ``t[i, q1 * n + q2, q]`` is 1 when automaton i has a binary rule
+    ``q1, q2 -> q`` under some symbol and 0 otherwise; ``nullary`` marks
+    the targets of nullary rules and ``finals`` the final states.  Each
+    pass of either fixpoint runs batched matrix products over all c
+    automata at once, and each loop ends when no automaton's mask changes.  Every
+    product sums non-negative integers to at most n**2, which float32
+    holds exactly below 2**24, so ``> 0`` is exact; a small integer type
+    would wrap (16**2 = 256 is 0 in uint8).
+    """
+    c, n = nullary.shape
+    # The masks only grow, so an unchanged count means an unchanged mask,
+    # and a full one cannot change.
+    reach, count = nullary, np.count_nonzero(nullary)
+    while count < c * n:
+        r = reach.astype(np.float32)
+        pairs = (r[:, :, None] * r[:, None, :]).reshape(c, 1, n * n)
+        fired = reach | ((pairs @ t).reshape(c, n) > 0)
+        fired_count = np.count_nonzero(fired)
+        if fired_count == count:
+            break
+        reach, count = fired, fired_count
+    col = reach.astype(np.float32)[:, :, None]
+    row = col.reshape(c, 1, n)
+    core, count = finals, np.count_nonzero(finals)
+    while count < c * n:
+        # z[i, q1, q2] counts the rules q1, q2 -> q of automaton i with q
+        # co-reachable; q1 joins through a reachable q2, and q2 through q1.
+        z = (t @ core.astype(np.float32)[:, :, None]).reshape(c, n, n)
+        joined = (core | ((z @ col).reshape(c, n) > 0)
+                  | ((row @ z).reshape(c, n) > 0))
+        joined_count = np.count_nonzero(joined)
+        if joined_count == count:
+            break
+        core, count = joined, joined_count
+    return reach, core
+
+
 def _trim_rows(config: GenConfig, u: np.ndarray) -> np.ndarray:
     """Indices, in order, of the rows of a batch of blocks that draw trim automata.
 
-    The batch's binary rules are one sorted list of flat cells
-    ``row * width + ((s * n + q1) * n + q2) * n + q``, decoded once into
-    (row, q1, q2, q).  A trim automaton needs every state to have an incoming
-    rule, every non-final state to occur on some binary left-hand side, and
-    at least one final state; scattering the rules into two (rows, n) masks
-    checks that for every row at once and rejects almost all sparse draws.
-    The rules of the surviving rows then form one disjoint union, state q of
-    the i-th candidate becoming ``i * n + q``, so a single run of each
-    fixpoint decides every candidate.
+    Trimness ignores which binary symbol carries a rule, so the binary
+    cells are ORed over the symbol axis into one (rows, n**3) array; its
+    rules are one sorted list of flat cells
+    ``row * n**3 + (q1 * n + q2) * n + q``.  A trim automaton needs every
+    state to have an incoming rule, every non-final state to occur on some
+    binary left-hand side, and at least one final state; scattering the
+    rules into two (rows, n) masks checks that for every row at once and
+    rejects almost all sparse draws.  ``_trim_masks`` then decides the
+    surviving rows together on their dense (n * n, n) rule matrices.
     """
     n = config.n
     rows = u.shape[0]
     s0 = len(config.alphabet.nullary)
     off = n + s0 * n
-    width = u.shape[1] - off
     finals = u[:, :n] < config.final_prob
     nullary = (u[:, n:off] < config.d0).reshape(rows, s0, n).any(axis=1)
-    # A batch holds fewer than 2**31 doubles, so int32 positions cannot overflow.
-    cell = np.flatnonzero(u[:, off:] < config.d2).astype(np.int32)
-    row = cell // max(width, 1)
-    cell -= row * width
-    tg = cell % n
-    cell //= n
-    a2 = cell % n
-    cell //= n
-    a1 = cell % n
-    base = row * n  # each rule's row, as a flat offset into (rows, n)
+    rules = u[:, off:] < config.d2
+    # One binary symbol needs no OR, and any() over a length-1 axis would
+    # cost more than the comparison.
+    if rules.shape[1] > n ** 3:
+        rules = rules.reshape(rows, -1, n ** 3).any(axis=1)
+    # A batch holds fewer than 2**31 doubles, so int32 positions cannot
+    # overflow; int32 floor division by a scalar is much faster than %.
+    cell = np.flatnonzero(rules).astype(np.int32)
+    lhs = cell // n  # row * n**2 + q1 * n + q2
+    tg = cell - lhs * n
+    row_q1 = lhs // n  # row * n + q1, a flat index into (rows, n)
+    a2 = lhs - row_q1 * n
+    base = row_q1 // n * n  # row * n
     incoming, on_lhs = nullary.copy(), finals.copy()
     incoming.reshape(-1)[base + tg] = True
-    on_lhs.reshape(-1)[base + a1] = True
+    on_lhs.reshape(-1)[row_q1] = True
     on_lhs.reshape(-1)[base + a2] = True
     ok = incoming.all(axis=1) & on_lhs.all(axis=1) & finals.any(axis=1)
     cands = np.flatnonzero(ok)
-    if not cands.size:
+    # Without binary symbols the filter's conditions are trimness itself.
+    if not (cands.size and rules.size):
         return cands
-    first = np.zeros(rows, dtype=np.int32)  # a candidate's first state in the union
-    first[cands] = np.arange(0, cands.size * n, n, dtype=np.int32)
-    keep = ok[row]
-    shift = first[row[keep]]
-    a1, a2, tg = a1[keep] + shift, a2[keep] + shift, tg[keep] + shift
-    reach = reachable_mask(nullary[cands].reshape(-1), a1, a2, tg)
-    core = coreachable_mask(finals[cands].reshape(-1), reach, a1, a2, tg)
-    return cands[(reach & core).reshape(-1, n).all(axis=1)]
+    t = rules[cands].astype(np.float32).reshape(cands.size, n * n, n)
+    reach, core = _trim_masks(nullary[cands], finals[cands], t)
+    return cands[(reach & core).all(axis=1)]
 
 
 def generate_trim(config: GenConfig, seed: Seed | int, trial: int = 0) -> tuple[Fta, int]:

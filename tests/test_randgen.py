@@ -14,6 +14,7 @@ from ftakit import (
     ExhaustionError,
     GenConfig,
     InputError,
+    RankedAlphabet,
     Seed,
     Setting,
     as_seed,
@@ -23,8 +24,8 @@ from ftakit import (
     trim_ratio,
 )
 from ftakit import randgen
-from ftakit.constructions import reachable_mask
-from ftakit.randgen import _fta_from_bools, _split_block, _trim_rows
+from ftakit.constructions import coreachable_mask, reachable_mask
+from ftakit.randgen import _fta_from_bools, _split_block, _trim_masks, _trim_rows
 from trim_reference import is_trim_ref
 
 
@@ -43,7 +44,6 @@ def test_config_validation():
         _config(d0=-0.1)
     with pytest.raises(InputError):
         _config(max_attempts=0)
-    from ftakit import RankedAlphabet
     with pytest.raises(InputError):
         _config(alphabet=RankedAlphabet.of(a=0, g=1))
 
@@ -255,31 +255,79 @@ def _necessary_for_trim(fta) -> bool:
        d0=_PROBABILITY, final_prob=_PROBABILITY, seed=st.integers(0, 2 ** 32))
 def test_trim_rows_match_reference(setting, n, rows, d2, d0, final_prob, seed):
     # The batched filter keeps exactly the rows whose automata the reference
-    # calls trim.  The fixpoints run once, on the disjoint union of the rows
-    # that meet the necessary conditions: state q of the i-th such row is
-    # i * n + q, and component i holds exactly that row's binary rules.
+    # calls trim.  The dense kernel runs once, on the rows that meet the
+    # necessary conditions, and its reach and co-reach masks for each of them,
+    # trim or not, are the rule-list fixpoints run on that row's own rules.
     config = GenConfig(n=n, alphabet=setting.alphabet, d2=d2, d0=d0,
                        final_prob=final_prob)
     u = as_seed(seed).stream().random((rows, config.block_size))
     ftas = [_fta_from_bools(config, *_split_block(config, row)) for row in u]
     seen = []
 
-    def recording(start, a1, a2, tg):
-        seen.append(list(zip(a1.tolist(), a2.tolist(), tg.tolist())))
-        return reachable_mask(start, a1, a2, tg)
+    def recording(nullary, finals, t):
+        masks = _trim_masks(nullary, finals, t)
+        seen.append(masks)
+        return masks
 
-    with mock.patch.object(randgen, "reachable_mask", recording):
+    with mock.patch.object(randgen, "_trim_masks", recording):
         got = list(_trim_rows(config, u))
     assert got == [k for k, fta in enumerate(ftas) if is_trim_ref(fta)]
-    expected = [sorted((t.args[0] - 1, t.args[1] - 1, t.target - 1)
-                       for t in fta.transitions if t.args)
-                for fta in ftas if _necessary_for_trim(fta)]
-    assert len(seen) == (1 if expected else 0)
-    components = [[] for _ in expected]
-    for rule in (seen[0] if seen else []):
-        i = rule[2] // n
-        components[i].append(tuple(q - i * n for q in rule))
-    assert [sorted(c) for c in components] == expected
+    candidates = [fta for fta in ftas if _necessary_for_trim(fta)]
+    assert len(seen) == (1 if candidates else 0)
+    reach, core = seen[0] if seen else (np.zeros((0, n), dtype=bool),) * 2
+    assert reach.shape == core.shape == (len(candidates), n)
+    for fta, got_reach, got_core in zip(candidates, reach, core):
+        start, finals = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        start[[t.target - 1 for t in fta.transitions if not t.args]] = True
+        finals[[q - 1 for q in fta.finals]] = True
+        a1, a2, tg = np.array([(t.args[0] - 1, t.args[1] - 1, t.target - 1)
+                               for t in fta.transitions if t.args],
+                              dtype=np.intp).reshape(-1, 3).T
+        want_reach = reachable_mask(start, a1, a2, tg)
+        want_core = coreachable_mask(finals, want_reach, a1, a2, tg)
+        assert got_reach.tolist() == want_reach.tolist()
+        assert got_core.tolist() == want_core.tolist()
+
+
+@pytest.mark.parametrize("d2", [1.0, 0.5])
+def test_trim_rows_with_triples_under_both_binary_symbols(d2):
+    # Setting B's two binary symbols often carry the same (q1, q2, q) triple,
+    # which the filter ORs into one rule before the kernel sees it.
+    seed = as_seed(909)
+    for n in (2, 3, 5):
+        config = GenConfig(n=n, alphabet=Setting.B.alphabet, d2=d2, d0=0.5)
+        u = seed.stream(n).random((60, config.block_size))
+        ftas = [_fta_from_bools(config, *_split_block(config, row)) for row in u]
+        triples = [[(t.args, t.target) for t in fta.transitions if t.args] for fta in ftas]
+        assert any(len(set(rules)) < len(rules) for rules in triples)
+        expected = [k for k, fta in enumerate(ftas) if is_trim_ref(fta)]
+        assert 0 < len(expected) < len(ftas)
+        assert [k for k, fta in enumerate(ftas) if is_trim(fta)] == expected
+        assert list(_trim_rows(config, u)) == expected
+
+
+def test_trim_rows_without_binary_symbols():
+    # With no binary symbol a draw is trim exactly when every state is final
+    # and a nullary target; the rows are decided by the filter alone.
+    config = GenConfig(n=40, alphabet=RankedAlphabet.of(a=0, b=0), d2=0.5,
+                       d0=0.97, final_prob=0.97)
+    u = as_seed(4).stream().random((300, config.block_size))
+    ftas = [_fta_from_bools(config, *_split_block(config, row)) for row in u]
+    expected = [k for k, fta in enumerate(ftas) if is_trim_ref(fta)]
+    assert 0 < len(expected) < len(ftas)
+    assert list(_trim_rows(config, u)) == expected
+
+
+def test_generate_trim_dense_sums_past_255():
+    # At d2 = 1 every state is reached by the second pass, whose sums count
+    # the reachable pairs: here 16 nullary targets give 16**2 = 256, which a
+    # uint8 product would wrap to 0.
+    config = GenConfig(n=20, alphabet=Setting.A.alphabet, d2=1.0, d0=0.8)
+    fta, attempts = generate_trim(config, 0, 0)
+    assert attempts == 1
+    assert len({t.target for t in fta.transitions if not t.args}) == 16
+    assert is_trim_ref(fta)
+    assert (fta, attempts) == _generate_trim_one_row_at_a_time(config, 0, 0)
 
 
 def test_generate_trim_exhausts():
