@@ -15,11 +15,19 @@ A stream is keyed by (master seed, derivation path, trial); attempt k of the
 regenerate-until-trim loop uses the k-th block of its trial's stream.  The
 same (config, seed, trial) therefore reproduces the same automaton bit for
 bit on any platform, worker count, or batch size.
+
+Every stream is numpy's ``PCG64(SeedSequence(words))`` over the key's
+32-bit words.  ``Seed.stream`` opens one through numpy; ``trim_ratio``,
+which opens one stream per trial, derives the PCG64 states of many trials
+in one vectorized pass of the same published algorithms (SeedSequence's
+hash mixing, NEP 19, and PCG64's seeding) and loads each into one reused
+generator.  Tests pin both paths to numpy bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +41,17 @@ from .errors import ExhaustionError, InputError
 # A block holds at least n**3 doubles, so the float32 rule matrices of a batch's
 # candidate rows (4 bytes * n**3 each) take at most 16 MB at 4M doubles.
 _BATCH_DOUBLES, _RATIO_BATCH_DOUBLES = 4_000_000, 62_500
+# Trials whose stream states one vectorized pass derives, which bounds the
+# pass's Python ints to ~3 MB however many trials a cell has.
+_STATE_BLOCK = 1 << 14
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx, after
+# M. E. O'Neill's seed_seq_fe) and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE, _XSHIFT = 4, 16
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -60,21 +79,102 @@ class Seed:
 
         numpy turns a tuple of ints into entropy words one int at a time,
         a small array each, which is over a third of the cost of opening a
-        stream.  The words are each int's little-endian 32-bit words, at
-        least one per int; building them here and passing one uint32 array
-        gives every stream bit for bit.
+        stream; passing the words as one uint32 array gives every stream
+        bit for bit.
         """
-        words = []
-        for k in (self.master, *self.path, *key):
-            k = int(k)
-            if k < 0:
-                raise ValueError(f"stream key {k} is negative")
-            words.append(k & 0xFFFFFFFF)
-            while k > 0xFFFFFFFF:
-                k >>= 32
-                words.append(k & 0xFFFFFFFF)
-        entropy = np.array(words, dtype=np.uint32)
+        entropy = np.array(_entropy_words(self.master, *self.path, *key), dtype=np.uint32)
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def _entropy_words(*keys: int) -> list[int]:
+    """The SeedSequence entropy of a tuple of ints: each int's little-endian
+    32-bit words, at least one per int."""
+    words = []
+    for k in keys:
+        k = int(k)
+        if k < 0:
+            raise InputError(f"stream key {k} is negative")
+        words.append(k & _MASK32)
+        while k > _MASK32:
+            k >>= 32
+            words.append(k & _MASK32)
+    return words
+
+
+def _pcg64_states(entropy: np.ndarray) -> Iterator[dict]:
+    """``PCG64(SeedSequence(row)).state`` for every row of a (rows, words) uint32 matrix.
+
+    SeedSequence hashes the words into a pool of 4 uint32 words and draws
+    PCG64's seed, two 128-bit ints, from the pool.  Its hash constant
+    advances the same way for every row, so it is a Python int and only the
+    pool is an array; uint32 array arithmetic wraps as the C code does.
+    PCG64 then seeds itself in 128-bit ints with ``inc = 2 * initseq + 1``
+    and ``state = (inc + initstate) * MULT + inc``.  All rows are hashed
+    at the first ``next``; each state dict is built only when it is taken,
+    so a block holds 4 ints per row, not its dicts.
+    """
+    rows, width = entropy.shape
+    words = list(np.ascontiguousarray(entropy.T))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= hash_const
+        value ^= value >> _XSHIFT
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result ^= result >> _XSHIFT
+        return result
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < width else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, width):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[src]))
+    # generate_state(4, uint64): 8 uint32 words cycled from the pool, paired
+    # little-endian into (initstate high, low, initseq high, low).
+    hash_const = _INIT_B
+    seed_words = np.empty((rows, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= hash_const
+        value ^= value >> _XSHIFT
+        seed_words[:, i] = value
+    seeds = seed_words.astype("<u4").view("<u8").T.tolist()
+    for s_hi, s_lo, i_hi, i_lo in zip(*seeds):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
+def _stream_states(seed: Seed, start: int, stop: int) -> Iterator[dict]:
+    """The PCG64 states of ``seed.stream(k)`` for k = start, ..., stop - 1.
+
+    Keys are derived in blocks of at most ``_STATE_BLOCK`` that never cross
+    a multiple of 2**32, so every row of a block has the same number of
+    words and differs from the others only in the key's lowest word.
+    """
+    prefix = _entropy_words(seed.master, *seed.path)
+    lo = start
+    while lo < stop:
+        hi = min(stop, lo + _STATE_BLOCK, (lo | _MASK32) + 1)
+        head = prefix + _entropy_words(lo)
+        entropy = np.empty((hi - lo, len(head)), dtype=np.uint32)
+        entropy[:] = head
+        low = lo & _MASK32
+        entropy[:, len(prefix)] = np.arange(low, low + hi - lo, dtype=np.uint32)
+        yield from _pcg64_states(entropy)
+        lo = hi
 
 
 def as_seed(seed: "Seed | int") -> Seed:
@@ -279,11 +379,17 @@ def trim_ratio(config: GenConfig, trials: int, seed: Seed | int) -> TrimEstimate
     block = config.block_size
     chunk = min(trials, max(1, _RATIO_BATCH_DOUBLES // block))
     u = np.empty((chunk, block))
+    # Trial t's draws are seed.stream(t)'s: its state, derived with the
+    # other trials', is loaded into one reused generator.
+    bitgen = np.random.PCG64(0)
+    stream = np.random.Generator(bitgen)
+    states = _stream_states(seed, 0, trials)
     hits = 0
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
         for k in range(count):
-            seed.stream(start + k).random(out=u[k])
+            bitgen.state = next(states)
+            stream.random(out=u[k])
         hits += _trim_rows(config, u[:count]).size
     ratio = hits / trials
     half = 1.96 * math.sqrt(ratio * (1.0 - ratio) / trials)

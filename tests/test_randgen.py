@@ -25,7 +25,16 @@ from ftakit import (
 )
 from ftakit import randgen
 from ftakit.constructions import coreachable_mask, reachable_mask
-from ftakit.randgen import _fta_from_bools, _split_block, _trim_masks, _trim_rows
+from ftakit.randgen import (
+    _entropy_words,
+    _fta_from_bools,
+    _pcg64_states,
+    _split_block,
+    _stream_states,
+    _trim_masks,
+    _trim_rows,
+    float_key,
+)
 from trim_reference import is_trim_ref
 
 
@@ -72,6 +81,61 @@ def test_stream_is_numpys_seed_sequence(master, path, key):
         np.random.SeedSequence((master, *path, *key))))
     got = Seed(master, path).stream(*key).random(8)
     assert got.tolist() == reference.random(8).tolist()
+
+
+def test_stream_rejects_negative_keys():
+    # Seed.child rejects a negative key through Seed's validation; Seed.stream
+    # and the batched derivation must reject it the same way.
+    with pytest.raises(InputError):
+        Seed(1).child(-1)
+    with pytest.raises(InputError):
+        Seed(1).stream(-1)
+    with pytest.raises(InputError):
+        Seed(1, (2,)).stream(3, -4)
+    with pytest.raises(InputError):
+        next(_stream_states(Seed(1), -1, 2))
+
+
+# Entropy words as streams see them: 32-bit ints with both extremes, and the
+# two words of a float_key (0.0 gives one word, 0).
+_WORD = st.one_of(st.sampled_from([0, 2 ** 32 - 1]), st.integers(0, 2 ** 32 - 1))
+_KEY_WORDS = st.one_of(
+    _WORD.map(lambda w: [w]),
+    st.floats(0.0, 1.0).map(lambda x: _entropy_words(float_key(x))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), width=st.integers(1, 9), rows=st.integers(1, 4))
+def test_batched_states_are_numpys_seed_sequence(data, width, rows):
+    # 1..9 words cover entropy shorter than, as long as and longer than
+    # SeedSequence's 4-word pool; each row of one matrix is its own stream.
+    entropy = []
+    for _ in range(rows):
+        keys = data.draw(st.lists(_KEY_WORDS, min_size=width, max_size=width))
+        entropy.append([w for words in keys for w in words][:width])
+    states = list(_pcg64_states(np.array(entropy, dtype=np.uint32)))
+    assert len(states) == rows
+    for words, state in zip(entropy, states):
+        reference = np.random.PCG64(np.random.SeedSequence(words))
+        assert state == reference.state
+        loaded = np.random.PCG64(0)
+        loaded.state = state
+        assert (np.random.Generator(loaded).random(8).tolist()
+                == np.random.Generator(reference).random(8).tolist())
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 14])
+@pytest.mark.parametrize("seed", [Seed(0), Seed(7, (3, 2 ** 40 + 5)), Seed(2 ** 64 - 1, (2 ** 32 - 1,))])
+@pytest.mark.parametrize("start, stop", [
+    (0, 9), (2 ** 32 - 4, 2 ** 32 + 4), (2 ** 64 - 2, 2 ** 64 + 2), (2 ** 96 - 1, 2 ** 96 + 1),
+])
+def test_stream_states_match_seed_stream(monkeypatch, block, seed, start, stop):
+    # Keys from 2**32 on need a second word (2**64 a third): the derivation
+    # must split its blocks there instead of returning other streams.
+    monkeypatch.setattr("ftakit.randgen._STATE_BLOCK", block)
+    expected = [seed.stream(k).bit_generator.state for k in range(start, stop)]
+    assert list(_stream_states(seed, start, stop)) == expected
 
 
 def test_block_size():
@@ -389,6 +453,22 @@ def test_trim_ratio_counts_each_trial_once_at_any_batch_size(monkeypatch, rows):
     expected = sum(is_trim_ref(generate(config, seed.stream(t))) for t in range(30))
     assert 0 < expected < 30
     assert trim_ratio(config, 30, seed).hits == expected
+
+
+@pytest.mark.parametrize("rows, block", [(1, 1 << 14), (17, 1 << 14), (3, 5), (40, 7)])
+def test_trim_ratio_matches_per_stream_definition_at_n12(monkeypatch, rows, block):
+    # n = 12 over two binary symbols gives 17-row batches at the default size.
+    # 40 trials fill no whole number of 17- or 3-row batches, and blocks of 5
+    # or 7 derived states end inside a batch.  Every trial must still draw
+    # exactly seed.stream(t).
+    config = GenConfig(n=12, alphabet=Setting.B.alphabet, d2=0.01, d0=0.5)
+    assert randgen._RATIO_BATCH_DOUBLES // config.block_size == 17
+    monkeypatch.setattr("ftakit.randgen._RATIO_BATCH_DOUBLES", rows * config.block_size)
+    monkeypatch.setattr("ftakit.randgen._STATE_BLOCK", block)
+    seed = as_seed(5)
+    expected = sum(is_trim_ref(generate(config, seed.stream(t))) for t in range(40))
+    assert 0 < expected < 40
+    assert trim_ratio(config, 40, seed).hits == expected
 
 
 def test_trim_ratio_validates_trials():
