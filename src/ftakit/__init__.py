@@ -13,7 +13,6 @@ from .constructions import (
     coreachable,
     determinize,
     is_trim,
-    isomorphic,
     minimize,
     reachable,
     trim,
@@ -45,9 +44,7 @@ from .experiment import (
     PeakFit,
     PointRecord,
     Setting,
-    SettingsReport,
     SweepResult,
-    compare_settings,
     densities_csv,
     equivalence_failures,
     fit_peak,
@@ -63,7 +60,6 @@ from .io import format_fta, parse_fta
 from .randgen import (
     GenConfig,
     Seed,
-    TrimEstimate,
     as_seed,
     generate,
     generate_trim,
@@ -76,14 +72,12 @@ __all__ = [
     "BudgetError", "CanonicalFta", "ConfigError", "DensityPoint", "Dfta",
     "Error", "ExhaustionError", "FitError", "Fta", "GenConfig", "InputError",
     "ParseError", "PeakFit", "PointRecord", "RankedAlphabet", "Seed",
-    "Setting", "SettingsReport", "StateSet", "SweepResult", "Transition",
-    "Tree", "TrimEstimate", "accepts", "as_seed", "canonical_size",
-    "compare_settings", "coreachable", "densities_csv", "density_grid",
-    "determinize", "enumerate_trees", "equivalence_failures",
+    "Setting", "StateSet", "SweepResult", "Transition", "Tree", "accepts",
+    "as_seed", "canonical_size", "coreachable", "densities_csv",
+    "density_grid", "determinize", "enumerate_trees", "equivalence_failures",
     "evaluate", "fit_peak", "fit_records", "format_fta", "generate",
-    "generate_trim", "is_deterministic", "is_trim", "isomorphic",
-    "language_fingerprint", "minimize", "parse_fta", "peak_density", "pi2",
-    "reachable", "round_half_up", "run_point", "run_sweep", "sigma_bar",
-    "sweep_csv", "table_densities", "table_trim", "trim", "trim_csv",
-    "trim_ratio",
+    "generate_trim", "is_deterministic", "is_trim", "language_fingerprint",
+    "minimize", "parse_fta", "peak_density", "pi2", "reachable",
+    "round_half_up", "run_point", "run_sweep", "sigma_bar", "sweep_csv",
+    "table_densities", "table_trim", "trim", "trim_csv", "trim_ratio",
 ]

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Data (documents, CSV, sizes) goes to stdout or the --out file; diagnostics
-such as the effective seed go to stderr so piped output stays clean.  Exit
+such as the effective seed go to stderr so piped output stays clean.  When
+``determinize`` or ``minimize`` write their document to stdout (``--out -``),
+the size goes to stderr, so the document can be piped on.  Exit
 codes: 0 success, 1 failed self-check, 2 usage error, 3 bad input (any
 other ftakit error, such as too few grid points to fit a peak), 4 file I/O
 error, 5 generation exhausted.
@@ -139,7 +141,7 @@ def determinize_cmd(in_path, out, max_subsets):
             comments.append(f"{i} = {{{members}}}{tag}")
     if out is not None:
         _emit(format_fta(dfta.to_fta(), comments=comments), out)
-    click.echo(str(dfta.size))
+    click.echo(str(dfta.size), err=out == "-")
 
 
 @main.command(name="minimize")
@@ -157,7 +159,7 @@ def minimize_cmd(in_path, out, max_subsets):
         if canonical.sink is not None:
             comments.append(f"state {canonical.sink} is the sink")
         _emit(format_fta(canonical.to_fta(), comments=comments), out)
-    click.echo(str(canonical.size))
+    click.echo(str(canonical.size), err=out == "-")
 
 
 @main.command(name="pipeline")

@@ -345,8 +345,7 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
 
     masks = tuple(int.from_bytes(key, "big") for key in index)
     fmask = sum(1 << pos[q] for q in fta.finals)
-    reach = reachable_mask(_marked(n, null_tg), a1, a2, tg)
-    core = coreachable_mask(_marked(n, [pos[q] for q in fta.finals]), reach, a1, a2, tg)
+    _, core = _source_fixpoints(n, null_tg, a1, a2, tg, [pos[q] for q in fta.finals])
     live = sum(1 << k for k in np.flatnonzero(core).tolist())
     return Dfta(
         source_states=src,
@@ -358,13 +357,6 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
         sink=index.get(bytes(8 * n_words)),
         dead=frozenset(k for k, m in enumerate(masks) if not m & live),
     )
-
-
-def _marked(n: int, positions) -> np.ndarray:
-    """A bool mask over n positions that is true at ``positions``."""
-    mask = np.zeros(n, dtype=bool)
-    mask[positions] = True
-    return mask
 
 
 def reachable_mask(start: np.ndarray, a1: np.ndarray, a2: np.ndarray,
@@ -399,17 +391,28 @@ def coreachable_mask(start: np.ndarray, reach: np.ndarray, a1: np.ndarray,
         core[added] = True
 
 
+def _source_fixpoints(n: int, null_tg: np.ndarray, a1: np.ndarray, a2: np.ndarray,
+                      tg: np.ndarray, start) -> tuple[np.ndarray, np.ndarray]:
+    """Reachable positions, and positions co-reachable from ``start``, of a
+    rule list over n state positions (as ``_rules`` gives them)."""
+    nullary = np.zeros(n, dtype=bool)
+    nullary[null_tg] = True
+    marked = np.zeros(n, dtype=bool)
+    marked[start] = True
+    reach = reachable_mask(nullary, a1, a2, tg)
+    return reach, coreachable_mask(marked, reach, a1, a2, tg)
+
+
 def _fixpoints(fta: Fta, what: str, from_: Iterable[int] | None = None):
     """Reachable states, and states co-reachable from ``from_`` (default: the finals)."""
     states, pos, (_, null_tg), (_, a1, a2, tg) = _rules(fta, what)
-    ids = np.array(states, dtype=np.int64)
-    start = np.zeros(len(ids), dtype=bool)
+    start = []
     for q in fta.finals if from_ is None else from_:
         if q not in pos:
             raise InputError(f"{what}: {q} is not a state of the automaton")
-        start[pos[q]] = True
-    reach = reachable_mask(_marked(len(ids), null_tg), a1, a2, tg)
-    core = coreachable_mask(start, reach, a1, a2, tg)
+        start.append(pos[q])
+    reach, core = _source_fixpoints(len(states), null_tg, a1, a2, tg, start)
+    ids = np.array(states, dtype=np.int64)
     return StateSet.from_iter(ids[reach].tolist()), StateSet.from_iter(ids[core].tolist())
 
 
@@ -625,51 +628,6 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     )
 
 
-def canonical_size(fta: Fta, *, max_subsets: int | None = None) -> int:
+def canonical_size(fta: Fta) -> int:
     """Determinize, minimize, and count the canonical states (sink excluded)."""
-    return minimize(determinize(fta, max_subsets=max_subsets)).size
-
-
-def isomorphic(a: CanonicalFta, b: CanonicalFta) -> bool:
-    """Structural equality of two canonical automata up to state renaming.
-
-    Deterministic accessible automata admit at most one candidate bijection,
-    so a synchronized traversal from the nullary entries either builds it or
-    proves none exists.
-    """
-    if a.alphabet != b.alphabet:
-        return False
-    if a.n_states != b.n_states or (a.sink is None) != (b.sink is None):
-        return False
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-
-    def match(p: int, q: int) -> bool:
-        if p in fwd:
-            return fwd[p] == q
-        if q in bwd:
-            return False
-        if (p in a.finals) != (q in b.finals):
-            return False
-        fwd[p] = q
-        bwd[q] = p
-        pairs.append((p, q))
-        return True
-
-    for sym in a.alphabet.nullary:
-        if not match(a.nullary[sym], b.nullary[sym]):
-            return False
-    k = 0
-    while k < len(pairs):
-        p, q = pairs[k]
-        for sym in a.alphabet.binary:
-            ta = a.binary[sym]
-            tb = b.binary[sym]
-            for r, s in pairs[: k + 1]:
-                if not match(int(ta[p, r]), int(tb[q, s])):
-                    return False
-                if not match(int(ta[r, p]), int(tb[s, q])):
-                    return False
-        k += 1
-    return len(fwd) == a.n_states
+    return minimize(determinize(fta)).size

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import ConfigError, InputError
 
 # Enumerating all trees up to height h explodes doubly exponentially; the
-# default guard keeps accidental calls from eating the machine.
+# guard keeps accidental calls from eating the machine.
 MAX_ENUM_HEIGHT = 5
 
 # State identifiers index bit vectors, so absurdly large ids are rejected.
@@ -310,22 +310,20 @@ def is_deterministic(fta: Fta) -> bool:
     return True
 
 
-def enumerate_trees(
-    alphabet: RankedAlphabet, max_height: int, *, height_guard: int = MAX_ENUM_HEIGHT
-) -> list[Tree]:
+def enumerate_trees(alphabet: RankedAlphabet, max_height: int) -> list[Tree]:
     """All ground trees of height <= max_height, deterministically ordered.
 
     Trees are listed by height, then structurally within each height; the
     output for height h is a prefix of the output for height h + 1.  Heights
-    beyond ``height_guard`` are refused because the count grows doubly
+    beyond ``MAX_ENUM_HEIGHT`` are refused because the count grows doubly
     exponentially.
     """
     if max_height < 0:
         raise InputError("max_height must be nonnegative")
-    if max_height > height_guard:
+    if max_height > MAX_ENUM_HEIGHT:
         raise ConfigError(
             f"enumerating trees up to height {max_height} exceeds the guard "
-            f"({height_guard}); pass height_guard explicitly to override"
+            f"({MAX_ENUM_HEIGHT})"
         )
     leaves = [Tree.of(name) for name in alphabet.nullary]
     levels: list[list[Tree]] = [sorted(leaves, key=Tree.sort_key)]
@@ -344,15 +342,13 @@ def enumerate_trees(
     return [t for level in levels for t in level]
 
 
-def language_fingerprint(
-    fta: Fta, max_height: int, *, height_guard: int = MAX_ENUM_HEIGHT
-) -> frozenset[Tree]:
+def language_fingerprint(fta: Fta, max_height: int) -> frozenset[Tree]:
     """The accepted trees of height <= max_height (a finite language sample).
 
     Shared subtrees are evaluated once, so the cost is linear in the number of
     enumerated trees rather than in their total node count.
     """
-    trees = enumerate_trees(fta.alphabet, max_height, height_guard=height_guard)
+    trees = enumerate_trees(fta.alphabet, max_height)
     rule_index: dict[tuple[str, tuple[int, ...]], int] = {}
     for t in fta.transitions:
         key = (t.symbol, t.args)

@@ -44,12 +44,11 @@ def pi2(d2: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class DensityPoint:
-    """One grid point of a density sweep (d0 is pinned to 1/2)."""
+    """One grid point of a density sweep (sweeps fix d0 at 1/2)."""
 
     n: int
     x: int
     d2: float
-    d0: float = 0.5
 
 
 def density_grid(n: int, steps: int = 40) -> list[DensityPoint]:

@@ -2,7 +2,9 @@
 
 A sweep walks the logarithmic density grid for one state count, produces a
 fixed number of trim automata per grid point, and records determinized and
-canonical sizes.  Fitting a size-weighted mean and deviation of log-density
+canonical sizes.  Sweeps and the trim-ratio table vary only the binary
+density d2: the nullary density is fixed at 1/2, the value the peak formula
+assumes.  Fitting a size-weighted mean and deviation of log-density
 locates the empirically hardest density together with a confidence interval.
 
 Grid points whose trim automata are too rare to generate (the regeneration
@@ -28,7 +30,7 @@ from .constructions import determinize, minimize
 from .core import RankedAlphabet, language_fingerprint
 from .density import density_grid, peak_density
 from .errors import ExhaustionError, FitError, InputError
-from .randgen import GenConfig, Seed, as_seed, float_key, generate_trim, trim_ratio
+from .randgen import GenConfig, Seed, TrimCell, as_seed, float_key, generate_trim, trim_ratio
 
 # Per-trial regeneration budget for sweeps.  The grid's sparse end needs far
 # more attempts than direct generation ever does (tens of thousands per trim
@@ -37,6 +39,9 @@ from .randgen import GenConfig, Seed, as_seed, float_key, generate_trim, trim_ra
 # bounding the cost of points where trim automata are essentially
 # unreachable.
 SWEEP_MAX_ATTEMPTS = 500_000
+
+# The nullary density of every sweep and table (see ftakit.density).
+SWEEP_D0 = 0.5
 
 WORKERS_ENV = "FTAKIT_WORKERS"
 
@@ -81,13 +86,11 @@ class PointRecord:
     n: int
     x: int | None
     d2: float
-    d0: float
     trials_requested: int
     trim_attempts: int
     det_sizes: tuple[int, ...]
     canonical_sizes: tuple[int, ...]
     exhausted: bool
-    seed: int
 
     @property
     def trials_completed(self) -> int:
@@ -111,9 +114,7 @@ class PeakFit:
     """Size-weighted log-normal location fit over (density, weight) points.
 
     ``peak`` is exp of the weighted mean of log-density.  ``lo``/``hi`` use
-    1.96 standard errors of that mean (sigma / sqrt(#points)); the plain
-    1.96-sigma band is also reported as ``lo_wide``/``hi_wide`` since either
-    reading of "deviation" appears in practice.
+    1.96 standard errors of that mean (sigma / sqrt(#points)).
     """
 
     mu: float
@@ -122,8 +123,6 @@ class PeakFit:
     peak: float
     lo: float
     hi: float
-    lo_wide: float
-    hi_wide: float
 
     def contains(self, d2: float) -> bool:
         return self.lo < d2 < self.hi
@@ -150,8 +149,6 @@ def fit_peak(points: Iterable[tuple[float, float]]) -> PeakFit:
         peak=math.exp(mu),
         lo=math.exp(mu - z * se),
         hi=math.exp(mu + z * se),
-        lo_wide=math.exp(mu - z * sigma),
-        hi_wide=math.exp(mu + z * sigma),
     )
 
 
@@ -173,15 +170,15 @@ def run_point(
     trials: int,
     seed: Seed | int,
     *,
-    d0: float = 0.5,
     x: int | None = None,
     max_attempts: int = SWEEP_MAX_ATTEMPTS,
 ) -> PointRecord:
     """Generate, determinize, and minimize ``trials`` trim automata at one density.
 
-    Trials run in a fixed order on per-trial streams.  If a trial exhausts
-    its regeneration budget the point stops there and keeps the completed
-    prefix, so results never depend on scheduling.
+    The nullary density is ``SWEEP_D0`` = 1/2.  Trials run in a fixed order
+    on per-trial streams.  If a trial exhausts its regeneration budget the
+    point stops there and keeps the completed prefix, so results never
+    depend on scheduling.
     """
     if n < 2:
         raise InputError("experiments need n >= 2")
@@ -192,10 +189,10 @@ def run_point(
         n=n,
         alphabet=setting.alphabet,
         d2=d2,
-        d0=d0,
+        d0=SWEEP_D0,
         max_attempts=max_attempts,
     )
-    base = seed.child(_POINT_TAG, setting.code, n, float_key(d2), float_key(d0))
+    base = seed.child(_POINT_TAG, setting.code, n, float_key(d2), float_key(SWEEP_D0))
     det_sizes: list[int] = []
     canonical_sizes: list[int] = []
     attempts_total = 0
@@ -219,13 +216,11 @@ def run_point(
         n=n,
         x=x,
         d2=d2,
-        d0=d0,
         trials_requested=trials,
         trim_attempts=attempts_total,
         det_sizes=tuple(det_sizes),
         canonical_sizes=tuple(canonical_sizes),
         exhausted=exhausted,
-        seed=seed.master,
     )
 
 
@@ -272,7 +267,6 @@ def run_sweep(
     *,
     steps: int = 40,
     trials: int = 40,
-    d0: float = 0.5,
     max_attempts: int = SWEEP_MAX_ATTEMPTS,
     workers: int | None = None,
 ) -> SweepResult:
@@ -284,7 +278,7 @@ def run_sweep(
     seed = as_seed(seed)
     calls = [
         partial(run_point, setting, n, point.d2, trials, seed,
-                d0=d0, x=point.x, max_attempts=max_attempts)
+                x=point.x, max_attempts=max_attempts)
         for point in density_grid(n, steps)
     ]
     records = tuple(_call_in_order(calls, _resolve_workers(workers)))
@@ -370,27 +364,9 @@ def densities_csv(rows: Iterable[DensityRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TrimCell:
-    """One cell of the trim-ratio table."""
-
-    d2: float
-    n: int
-    trials: int
-    hits: int
-    ratio: float
-    half_width: float
-
-
-def _trim_cell(setting: Setting, n: int, d2: float, trials: int, seed: Seed,
-               d0: float) -> TrimCell:
-    config = GenConfig(n=n, alphabet=setting.alphabet, d2=d2, d0=d0)
-    cell_seed = seed.child(_TRIM_TAG, setting.code, n, float_key(d2))
-    est = trim_ratio(config, trials, cell_seed)
-    return TrimCell(
-        d2=d2, n=n, trials=trials, hits=est.hits,
-        ratio=est.ratio, half_width=est.half_width,
-    )
+def _trim_cell(setting: Setting, n: int, d2: float, trials: int, seed: Seed) -> TrimCell:
+    config = GenConfig(n=n, alphabet=setting.alphabet, d2=d2, d0=SWEEP_D0)
+    return trim_ratio(config, trials, seed.child(_TRIM_TAG, setting.code, n, float_key(d2)))
 
 
 def table_trim(
@@ -400,7 +376,6 @@ def table_trim(
     densities: Sequence[float] = TRIM_TABLE_DENSITIES,
     n_values: Sequence[int] = TRIM_TABLE_SIZES,
     trials: int = 1000,
-    d0: float = 0.5,
     include_blank: bool = False,
     workers: int | None = None,
 ) -> list[TrimCell]:
@@ -413,7 +388,7 @@ def table_trim(
     """
     seed = as_seed(seed)
     calls = [
-        partial(_trim_cell, setting, n, d2, trials, seed, d0)
+        partial(_trim_cell, setting, n, d2, trials, seed)
         for d2 in densities
         for n in n_values
         if include_blank or (d2, n) not in _TRIM_TABLE_BLANK
@@ -432,65 +407,6 @@ def trim_csv(cells: Iterable[TrimCell]) -> str:
             _fmt(c.ratio), _fmt(c.half_width),
         ]))
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class SettingsReport:
-    """Peak location and size comparison between the two alphabets at one n."""
-
-    n: int
-    sweep_a: SweepResult
-    sweep_b: SweepResult
-    fit_a_det: PeakFit
-    fit_b_det: PeakFit
-    fit_a_canonical: PeakFit
-    fit_b_canonical: PeakFit
-    peak_mean_det_a: float
-    peak_mean_det_b: float
-
-    @property
-    def peaks_overlap(self) -> bool:
-        return self.fit_a_det.overlaps(self.fit_b_det)
-
-    @property
-    def b_larger_at_peak(self) -> bool:
-        return self.peak_mean_det_b > self.peak_mean_det_a
-
-    @property
-    def minimization_keeps_peak(self) -> bool:
-        return (self.fit_a_det.overlaps(self.fit_a_canonical)
-                and self.fit_b_det.overlaps(self.fit_b_canonical))
-
-
-def compare_settings(
-    n: int,
-    seed: Seed | int,
-    *,
-    steps: int = 40,
-    trials: int = 40,
-    workers: int | None = None,
-    sweeps: tuple[SweepResult, SweepResult] | None = None,
-) -> SettingsReport:
-    """Run (or reuse) both settings' sweeps at one n and compare the peaks."""
-    if sweeps is not None:
-        sweep_a, sweep_b = sweeps
-    else:
-        sweep_a = run_sweep(Setting.A, n, seed, steps=steps, trials=trials, workers=workers)
-        sweep_b = run_sweep(Setting.B, n, seed, steps=steps, trials=trials, workers=workers)
-    mid = steps // 2
-    mean_a = sweep_a.record_at(mid).mean_det_size
-    mean_b = sweep_b.record_at(mid).mean_det_size
-    return SettingsReport(
-        n=n,
-        sweep_a=sweep_a,
-        sweep_b=sweep_b,
-        fit_a_det=sweep_a.fit,
-        fit_b_det=sweep_b.fit,
-        fit_a_canonical=fit_records(sweep_a.records, "canonical"),
-        fit_b_canonical=fit_records(sweep_b.records, "canonical"),
-        peak_mean_det_a=mean_a if mean_a is not None else float("nan"),
-        peak_mean_det_b=mean_b if mean_b is not None else float("nan"),
-    )
 
 
 def equivalence_failures(

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -293,8 +292,9 @@ def _trim_masks(nullary: np.ndarray, finals: np.ndarray,
 def _trim_rows(config: GenConfig, u: np.ndarray) -> np.ndarray:
     """Indices, in order, of the rows of a batch of blocks that draw trim automata.
 
-    Trimness ignores which binary symbol carries a rule, so the binary
-    cells are ORed over the symbol axis into one (rows, n**3) array; its
+    ``_split_block`` thresholds the batch.  Trimness ignores which symbol
+    carries a rule, so the nullary cells are ORed over the symbol axis into
+    one (rows, n) mask and the binary cells into one (rows, n**3) array; its
     rules are one sorted list of flat cells
     ``row * n**3 + (q1 * n + q2) * n + q``.  A trim automaton needs every
     state to have an incoming rule, every non-final state to occur on some
@@ -305,15 +305,13 @@ def _trim_rows(config: GenConfig, u: np.ndarray) -> np.ndarray:
     """
     n = config.n
     rows = u.shape[0]
-    s0 = len(config.alphabet.nullary)
-    off = n + s0 * n
-    finals = u[:, :n] < config.final_prob
-    nullary = (u[:, n:off] < config.d0).reshape(rows, s0, n).any(axis=1)
-    rules = u[:, off:] < config.d2
+    finals, nullary, binary = _split_block(config, u)
+    nullary = nullary.any(axis=1)
     # One binary symbol needs no OR, and any() over a length-1 axis would
     # cost more than the comparison.
-    if rules.shape[1] > n ** 3:
-        rules = rules.reshape(rows, -1, n ** 3).any(axis=1)
+    rules = binary.reshape(rows, -1)
+    if binary.shape[1] > 1:
+        rules = binary.reshape(rows, -1, n ** 3).any(axis=1)
     # A batch holds fewer than 2**31 doubles, so int32 positions cannot
     # overflow; int32 floor division by a scalar is much faster than %.
     cell = np.flatnonzero(rules).astype(np.int32)
@@ -362,16 +360,19 @@ def generate_trim(config: GenConfig, seed: Seed | int, trial: int = 0) -> tuple[
     raise ExhaustionError(config.n, config.d2, attempts)
 
 
-class TrimEstimate(NamedTuple):
-    """Observed trim fraction with its binomial 95% half-width."""
+@dataclass(frozen=True)
+class TrimCell:
+    """The observed trim fraction at one (d2, n), with its binomial 95% half-width."""
 
-    ratio: float
-    half_width: float
+    d2: float
+    n: int
     trials: int
     hits: int
+    ratio: float
+    half_width: float
 
 
-def trim_ratio(config: GenConfig, trials: int, seed: Seed | int) -> TrimEstimate:
+def trim_ratio(config: GenConfig, trials: int, seed: Seed | int) -> TrimCell:
     """Fraction of raw draws that are trim, over independent per-trial streams."""
     if trials < 1:
         raise InputError("trials must be at least 1")
@@ -393,4 +394,4 @@ def trim_ratio(config: GenConfig, trials: int, seed: Seed | int) -> TrimEstimate
         hits += _trim_rows(config, u[:count]).size
     ratio = hits / trials
     half = 1.96 * math.sqrt(ratio * (1.0 - ratio) / trials)
-    return TrimEstimate(ratio, half, trials, hits)
+    return TrimCell(config.d2, config.n, trials, hits, ratio, half)

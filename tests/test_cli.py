@@ -74,6 +74,22 @@ def test_determinize_then_minimize_example(runner, tmp_path, example_doc):
     assert result.output.strip() == "4"
 
 
+@pytest.mark.parametrize("command", ["determinize", "minimize"])
+def test_document_on_stdout_pipes_on(runner, tmp_path, command):
+    src = tmp_path / "m.fta"
+    _invoke(runner, "generate", "--n", "4", "--d2", "0.3", "--seed", "7", "--out", str(src))
+    piped = _invoke(runner, command, "--in", str(src), "--out", "-")
+    assert piped.exit_code == 0
+    parse_fta(piped.stdout)
+    # The size still comes out, on stderr.
+    size = _invoke(runner, command, "--in", str(src)).stdout
+    assert piped.stderr.splitlines()[-1] == size.strip()
+    canonical = _invoke(runner, "minimize", "--in", str(src)).stdout
+    again = _invoke(runner, "minimize", "--in", "-", input=piped.stdout)
+    assert again.exit_code == 0
+    assert again.stdout == canonical
+
+
 def test_pipeline_deterministic(runner):
     args = ["pipeline", "--n", "4", "--d2", "0.1696", "--d0", "0.5", "--seed", "7"]
     first = _invoke(runner, *args)

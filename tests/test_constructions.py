@@ -24,7 +24,6 @@ from ftakit import (
     generate_trim,
     is_deterministic,
     is_trim,
-    isomorphic,
     language_fingerprint,
     minimize,
     reachable,
@@ -33,6 +32,7 @@ from ftakit import (
 from ftakit import constructions
 from ftakit.density import peak_density
 from determinize_reference import determinize_ref
+from isomorphism_reference import isomorphic
 from language_reference import language_mismatch
 from minimize_reference import dead_states, equivalence_classes
 from trim_reference import coreachable_ref, is_trim_ref, reachable_ref, trim_ref

@@ -139,7 +139,6 @@ def test_density_grid_shape():
     assert grid[20].d2 == pytest.approx(peak_density(8), rel=1e-12)
     assert round_half_up(grid[20].d2, 4) == 0.0431
     assert grid[40].d2 == pytest.approx(peak_density(8) ** 2, rel=1e-12)
-    assert all(p.d0 == 0.5 for p in grid)
     assert [p.x for p in grid] == list(range(41))
 
 

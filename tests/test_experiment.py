@@ -9,12 +9,14 @@ import pytest
 
 from ftakit import (
     FitError,
+    GenConfig,
     InputError,
     Setting,
-    compare_settings,
+    canonical_size,
     densities_csv,
     fit_peak,
     fit_records,
+    generate_trim,
     peak_density,
     run_point,
     run_sweep,
@@ -40,7 +42,6 @@ def test_fit_peak_symmetric_weights():
     fit = fit_peak(points)
     assert fit.peak == pytest.approx(center)
     assert fit.lo < center < fit.hi
-    assert fit.lo_wide <= fit.lo and fit.hi <= fit.hi_wide
 
 
 def test_fit_peak_needs_three_points():
@@ -61,14 +62,12 @@ def test_fit_peak_weighted_mean_formula():
     assert fit.hi / fit.peak == pytest.approx(math.exp(1.96 * se))
 
 
-def test_run_point_complete_config():
+def test_complete_config_has_one_canonical_state():
     # d2 = d0 = 1 forces the complete automaton; its language is all trees,
     # whose canonical automaton has a single state.
-    rec = run_point(Setting.A, 2, 1.0, 1, 99, d0=1.0, x=0)
-    assert rec.trials_completed == 1
-    assert rec.canonical_sizes == (1,)
-    assert rec.mean_canonical_size == 1.0
-    assert not rec.exhausted
+    config = GenConfig(n=2, alphabet=Setting.A.alphabet, d2=1.0, d0=1.0)
+    fta, _ = generate_trim(config, 99)
+    assert canonical_size(fta) == 1
 
 
 def test_run_point_means_and_ordering():
@@ -218,16 +217,6 @@ def test_table_densities_structure():
     text = densities_csv(rows)
     assert text.startswith("n,expected_d2,observed_d2,ci_lo,ci_hi,contains\n")
     assert text.strip().split("\n")[1].split(",")[0] == "4"
-
-
-def test_compare_settings_reuses_sweeps():
-    sweep_a = run_sweep(Setting.A, 4, 88, steps=8, trials=8)
-    sweep_b = run_sweep(Setting.B, 4, 88, steps=8, trials=8)
-    report = compare_settings(4, 88, steps=8, trials=8, sweeps=(sweep_a, sweep_b))
-    assert report.sweep_a is sweep_a and report.sweep_b is sweep_b
-    assert report.fit_a_det.peak > 0
-    assert isinstance(report.peaks_overlap, bool)
-    assert report.peak_mean_det_a > 0 and report.peak_mean_det_b > 0
 
 
 def test_equivalence_failures_clean():
