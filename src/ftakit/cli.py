@@ -20,7 +20,7 @@ import numpy as np
 
 from .constructions import determinize, minimize
 from .density import peak_density, round_half_up
-from .errors import Error, ExhaustionError
+from .errors import Error, ExhaustionError, ParseError
 from .experiment import (
     Setting,
     densities_csv,
@@ -67,9 +67,13 @@ def _effective_seed(seed: int | None) -> int:
 
 
 def _read_document(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    with click.open_file(path, "rb") as stream:  # "-" is stdin's binary stream
+        data = stream.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(
+            f"document is not UTF-8: {err.reason} at byte {err.start}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -256,7 +260,7 @@ def table2_cmd(setting, trials, include_blank, seed, workers, out):
 
 @main.command(name="check")
 @click.option("--cases", type=int, default=25, show_default=True)
-@click.option("--height", type=int, default=3, show_default=True)
+@click.option("--height", type=int, default=4, show_default=True)
 @_seed_option
 @_guard
 def check_cmd(cases, height, seed):

@@ -14,9 +14,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, InputError
 
-# Enumerating all trees up to height h explodes doubly exponentially; the
-# guard keeps accidental calls from eating the machine.
-MAX_ENUM_HEIGHT = 5
+# The number of trees up to height h grows doubly exponentially; the guard
+# refuses an enumeration whose tree count, worked out first, passes this bound.
+MAX_ENUM_TREES = 1 << 21
 
 # State identifiers index bit vectors, so absurdly large ids are rejected.
 MAX_STATE_ID = 1 << 20
@@ -127,12 +127,6 @@ class Tree:
         if self.is_state_leaf:
             return True
         return any(child.has_state_leaves() for child in self.children)
-
-    def sort_key(self):
-        """Structural ordering key: state leaves first, then by symbol name."""
-        if self.is_state_leaf:
-            return (0, self.state, ())
-        return (1, self.label, tuple(c.sort_key() for c in self.children))
 
     def __str__(self) -> str:
         if self.is_state_leaf:
@@ -310,58 +304,58 @@ def is_deterministic(fta: Fta) -> bool:
     return True
 
 
+def _enumerate(alphabet: RankedAlphabet, max_height: int) -> list[tuple[Tree, tuple]]:
+    """The trees of ``enumerate_trees``, each with its children's list positions."""
+    if max_height < 0:
+        raise InputError("max_height must be nonnegative")
+    count = 0
+    for _ in range(max_height + 1):
+        count = sum(count**rank for _, rank in alphabet.symbols)
+        if count > MAX_ENUM_TREES:
+            raise ConfigError(f"enumerating trees up to height {max_height} needs at "
+                              f"least {count} trees (guard {MAX_ENUM_TREES})")
+    nodes = [(Tree.of(name), ()) for name in alphabet.nullary]
+    lo = 0  # position of the first tree of the level below
+    for _ in range(max_height):
+        hi = len(nodes)
+        for name, rank in sorted(alphabet.symbols):
+            # Keep the combinations with at least one child from the level below.
+            for combo in itertools.product(range(hi), repeat=rank):
+                if rank and max(combo) >= lo:
+                    nodes.append((Tree.of(name, *(nodes[i][0] for i in combo)), combo))
+        lo = hi
+    return nodes
+
+
 def enumerate_trees(alphabet: RankedAlphabet, max_height: int) -> list[Tree]:
     """All ground trees of height <= max_height, deterministically ordered.
 
-    Trees are listed by height, then structurally within each height; the
-    output for height h is a prefix of the output for height h + 1.  Heights
-    beyond ``MAX_ENUM_HEIGHT`` are refused because the count grows doubly
-    exponentially.
+    Trees are listed by height, then by symbol name, then by their children's
+    positions in this list, in lexicographic order; children precede parents,
+    and the output for height h is a prefix of the output for height h + 1.
+    Heights whose tree count passes ``MAX_ENUM_TREES`` are refused.
     """
-    if max_height < 0:
-        raise InputError("max_height must be nonnegative")
-    if max_height > MAX_ENUM_HEIGHT:
-        raise ConfigError(
-            f"enumerating trees up to height {max_height} exceeds the guard "
-            f"({MAX_ENUM_HEIGHT})"
-        )
-    leaves = [Tree.of(name) for name in alphabet.nullary]
-    levels: list[list[Tree]] = [sorted(leaves, key=Tree.sort_key)]
-    for h in range(1, max_height + 1):
-        below = [(t, d) for d, level in enumerate(levels) for t in level]
-        level: list[Tree] = []
-        for name in alphabet.names():
-            rank = alphabet.rank(name)
-            if rank == 0:
-                continue
-            # At least one child must have height exactly h - 1.
-            for combo in itertools.product(below, repeat=rank):
-                if max(d for _, d in combo) == h - 1:
-                    level.append(Tree.of(name, *(t for t, _ in combo)))
-        levels.append(sorted(level, key=Tree.sort_key))
-    return [t for level in levels for t in level]
+    return [tree for tree, _ in _enumerate(alphabet, max_height)]
 
 
 def language_fingerprint(fta: Fta, max_height: int) -> frozenset[Tree]:
     """The accepted trees of height <= max_height (a finite language sample).
 
-    Shared subtrees are evaluated once, so the cost is linear in the number of
-    enumerated trees rather than in their total node count.
+    Each tree is evaluated once from its children's state sets, so the cost is
+    linear in the number of enumerated trees rather than in their node count.
     """
-    trees = enumerate_trees(fta.alphabet, max_height)
     rule_index: dict[tuple[str, tuple[int, ...]], int] = {}
     for t in fta.transitions:
         key = (t.symbol, t.args)
         rule_index[key] = rule_index.get(key, 0) | (1 << t.target)
     final_bits = fta.final_set().bits
-    cache: dict[Tree, tuple[int, tuple[int, ...]]] = {}
+    reached: list[tuple[int, ...]] = []  # states of each tree, by list position
     accepted: list[Tree] = []
-    for tree in trees:  # children precede parents in enumeration order
-        child_members = [cache[c][1] for c in tree.children]
+    for tree, children in _enumerate(fta.alphabet, max_height):
         bits = 0
-        for combo in itertools.product(*child_members):
+        for combo in itertools.product(*(reached[i] for i in children)):
             bits |= rule_index.get((tree.label, combo), 0)
-        cache[tree] = (bits, tuple(StateSet(bits)))
+        reached.append(tuple(StateSet(bits)))
         if bits & final_bits:
             accepted.append(tree)
     return frozenset(accepted)

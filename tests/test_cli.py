@@ -112,6 +112,17 @@ def test_exit_code_parse_error(runner, tmp_path):
     assert "error" in result.output or "error" in (result.stderr or "")
 
 
+def test_exit_code_undecodable_document(runner, tmp_path):
+    data = b"states 0\nfinals 0\nalphabet a:0\na -> 0 # \xff\n"
+    bad = tmp_path / "bad.fta"
+    bad.write_bytes(data)
+    for args, stdin in (([str(bad)], None), (["-"], data)):
+        result = runner.invoke(main, ["minimize", "--in", *args], input=stdin)
+        assert result.exit_code == 3
+        assert result.stderr.splitlines()[-1] == (
+            "error: document is not UTF-8: invalid start byte at byte 40")
+
+
 def test_exit_code_missing_file(runner, tmp_path):
     result = runner.invoke(main, ["determinize", "--in", str(tmp_path / "nope.fta")])
     assert result.exit_code == 4
@@ -188,7 +199,7 @@ def test_table2_small(runner, tmp_path):
 def test_check_command(runner):
     result = _invoke(runner, "check", "--cases", "8", "--seed", "12")
     assert result.exit_code == 0
-    assert "ok" in result.output
+    assert result.stdout == "ok: 8 cases agree up to height 4\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -152,6 +152,12 @@ def test_enumerate_trees_counts(ab_alphabet):
 def test_enumerate_trees_guard(ab_alphabet):
     with pytest.raises(ConfigError):
         enumerate_trees(ab_alphabet, 6)
+    # The guard binds on the tree count, not on the height.
+    with pytest.raises(ConfigError, match="2185969041363 trees"):
+        enumerate_trees(Setting.B.alphabet, 5)
+    with pytest.raises(ConfigError, match="467078547 trees"):
+        enumerate_trees(RankedAlphabet.of(a=0, b=0, c=0, s=2), 4)
+    assert len(enumerate_trees(RankedAlphabet.of(a=0, g=1), 8)) == 9
     with pytest.raises(InputError):
         enumerate_trees(ab_alphabet, -1)
 
@@ -174,6 +180,19 @@ def test_enumerate_trees_general_rank():
     assert names == ["a", "b", "g(a)", "g(b)", "g(g(a))", "g(g(b))"]
 
 
+@pytest.mark.parametrize("setting, height", [(Setting.B, 3), (Setting.A, 4)])
+def test_enumerate_trees_order_contract(setting, height):
+    # By height, then symbol name, then the children's positions in the list.
+    trees = enumerate_trees(setting.alphabet, height)
+    position = {t: i for i, t in enumerate(trees)}
+    keys = []
+    for i, t in enumerate(trees):
+        children = tuple(position[c] for c in t.children)
+        assert all(c < i for c in children)
+        keys.append((t.height, t.label, children))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_fingerprint_examples(example_fta):
     assert language_fingerprint(example_fta, 1) == frozenset()
     witness = Tree.of("sigma", Tree.of("sigma", SAA, A), A)
@@ -187,12 +206,32 @@ def test_fingerprint_empty_finals(example_fta, ab_alphabet):
 
 
 def test_fingerprint_matches_accepts(example_fta):
-    # The fingerprint takes a different route (memoized product lookup) than
-    # accepts (definitional recursion); they must agree tree by tree.
-    for height in (0, 1, 2, 3):
-        fp = language_fingerprint(example_fta, height)
-        for t in enumerate_trees(example_fta.alphabet, height):
-            assert (t in fp) == accepts(example_fta, t)
+    # The fingerprint takes a different route (product lookup over the state
+    # sets of child positions) than accepts (definitional recursion); they
+    # must agree tree by tree, for every rank.
+    ranks_fta = Fta(
+        frozenset({0, 1, 2}),
+        RankedAlphabet.of(a=0, g=1, f=3),
+        frozenset({2}),
+        frozenset([
+            Transition("a", (), 0), Transition("a", (), 1),
+            Transition("g", (0,), 1), Transition("g", (1,), 2), Transition("g", (2,), 0),
+            Transition("f", (1, 0, 2), 2), Transition("f", (2, 2, 2), 1),
+            Transition("f", (0, 1, 1), 0),
+        ]),
+    )
+    b_ftas = [
+        generate(GenConfig(n=3, alphabet=Setting.B.alphabet, d2=d2, d0=0.6),
+                 as_seed(seed).stream())
+        for seed, d2 in ((1, 0.4), (3, 0.2), (6, 0.7))
+    ]
+    for fta, top in [(example_fta, 3), (ranks_fta, 2), *((b, 3) for b in b_ftas)]:
+        for height in range(top + 1):
+            fp = language_fingerprint(fta, height)
+            trees = enumerate_trees(fta.alphabet, height)
+            for t in trees:
+                assert (t in fp) == accepts(fta, t)
+        assert 0 < len(fp) < len(trees)
 
 
 def _random_fta(seed: int, n: int = 4, d2: float = 0.3) -> Fta:
