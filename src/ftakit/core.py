@@ -220,9 +220,9 @@ class Fta:
     def __post_init__(self):
         object.__setattr__(self, "states", frozenset(self.states))
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(
-            self, "transitions", frozenset(Transition(*t) for t in self.transitions)
-        )
+        object.__setattr__(self, "transitions", frozenset(
+            t if isinstance(t, Transition) else Transition(*t) for t in self.transitions
+        ))
         for q in self.states:
             if not isinstance(q, int) or q < 0 or q > MAX_STATE_ID:
                 raise InputError(f"state identifier {q!r} out of range")

@@ -35,11 +35,12 @@ import numpy as np
 from .core import Fta, RankedAlphabet, Transition
 from .errors import ExhaustionError, InputError
 
-# Upper bounds on the uniform doubles per vectorized batch.  trim_ratio's 0.5 MB
-# batches keep its peak memory apart from how the allocator reuses freed ones.
-# A block holds at least n**3 doubles, so the float32 rule matrices of a batch's
-# candidate rows (4 bytes * n**3 each) take at most 16 MB at 4M doubles.
-_BATCH_DOUBLES, _RATIO_BATCH_DOUBLES = 4_000_000, 62_500
+# Upper bound on the uniform doubles per vectorized batch: one reused 0.5 MB
+# buffer per call, which keeps peak memory apart from how the allocator reuses
+# freed arrays and keeps a batch in cache while it is thresholded.  A block
+# holds at least n**3 doubles, so the float32 rule matrices of a batch's
+# candidate rows (4 bytes * n**3 each) take at most 0.25 MB.
+_BATCH_DOUBLES = 62_500
 # Trials whose stream states one vectorized pass derives, which bounds the
 # pass's Python ints to ~3 MB however many trials a cell has.
 _STATE_BLOCK = 1 << 14
@@ -229,16 +230,18 @@ def _split_block(config: GenConfig, u: np.ndarray):
 def _fta_from_bools(config: GenConfig, finals, nullary, binary) -> Fta:
     syms0 = config.alphabet.nullary
     syms2 = config.alphabet.binary
-    transitions = []
-    for si, q in np.argwhere(nullary):
-        transitions.append(Transition(syms0[si], (), int(q) + 1))
-    for si, q1, q2, q in np.argwhere(binary):
-        transitions.append(Transition(syms2[si], (int(q1) + 1, int(q2) + 1), int(q) + 1))
+    # Plain ints from tolist(): converting numpy scalars rule by rule would
+    # cost most of a dense generate_trim call.
+    s0, t0 = np.nonzero(nullary)
+    s2, q1, q2, t2 = np.nonzero(binary)
+    rules = [(syms0[s], (), q) for s, q in zip(s0.tolist(), (t0 + 1).tolist())]
+    rules += [(syms2[s], args, q) for s, args, q in zip(
+        s2.tolist(), zip((q1 + 1).tolist(), (q2 + 1).tolist()), (t2 + 1).tolist())]
     return Fta(
         states=frozenset(range(1, config.n + 1)),
         alphabet=config.alphabet,
         finals=frozenset((np.flatnonzero(finals) + 1).tolist()),
-        transitions=frozenset(transitions),
+        transitions=frozenset(map(Transition._make, rules)),
     )
 
 
@@ -337,18 +340,24 @@ def _trim_rows(config: GenConfig, u: np.ndarray) -> np.ndarray:
 def generate_trim(config: GenConfig, seed: Seed | int, trial: int = 0) -> tuple[Fta, int]:
     """Regenerate until the automaton is trim; return it with the attempt count.
 
-    Attempts are independent blocks of the trial's stream.  Raises
-    ExhaustionError after ``config.max_attempts`` failures, which signals a
-    density where trim automata are vanishingly rare.
+    Attempts are independent blocks of the trial's stream.  They are drawn in
+    batches into one reused buffer of at most ``_BATCH_DOUBLES`` doubles (at
+    least one block); batches start at 4 rows, or the cap if lower, and grow
+    x2 up to the cap.  The stream is sequential, so the batch schedule
+    changes no draw.  Raises ExhaustionError after ``config.max_attempts``
+    failures, which signals a density where trim automata are vanishingly
+    rare.
     """
     seed = as_seed(seed)
     stream = seed.stream(trial)
     block = config.block_size
+    cap = max(1, _BATCH_DOUBLES // block)
+    buf = np.empty((min(cap, config.max_attempts), block))
     attempts = 0
-    batch = 4
+    batch = min(4, cap)
     while attempts < config.max_attempts:
         take = min(batch, config.max_attempts - attempts)
-        u = stream.random((take, block))
+        u = stream.random(out=buf[:take])
         hits = _trim_rows(config, u)
         if hits.size:
             c = int(hits[0])
@@ -356,7 +365,7 @@ def generate_trim(config: GenConfig, seed: Seed | int, trial: int = 0) -> tuple[
         attempts += take
         # Doubling keeps the rows drawn past the accepted one to at most
         # about as many as the attempts before it.
-        batch = min(batch * 2, max(1, _BATCH_DOUBLES // block))
+        batch = min(batch * 2, cap)
     raise ExhaustionError(config.n, config.d2, attempts)
 
 
@@ -378,7 +387,7 @@ def trim_ratio(config: GenConfig, trials: int, seed: Seed | int) -> TrimCell:
         raise InputError("trials must be at least 1")
     seed = as_seed(seed)
     block = config.block_size
-    chunk = min(trials, max(1, _RATIO_BATCH_DOUBLES // block))
+    chunk = min(trials, max(1, _BATCH_DOUBLES // block))
     u = np.empty((chunk, block))
     # Trial t's draws are seed.stream(t)'s: its state, derived with the
     # other trials', is loaded into one reused generator.

@@ -53,6 +53,21 @@ def test_tree_shape_constraints():
     assert SAA.height == 1
 
 
+def test_fta_wraps_plain_tuples_as_transitions(ab_alphabet, example_fta):
+    plain = Fta(
+        states=example_fta.states,
+        alphabet=ab_alphabet,
+        finals=example_fta.finals,
+        transitions=[tuple(t) for t in example_fta.transitions],
+    )
+    assert all(type(t) is Transition for t in plain.transitions)
+    assert plain == example_fta
+    for bad in [("sigma", (0,), 1), ("alpha", (), 7), ("sigma", (0, 9), 1)]:
+        with pytest.raises(InputError):
+            Fta(states=example_fta.states, alphabet=ab_alphabet,
+                finals=example_fta.finals, transitions=[bad])
+
+
 def test_stateset_operations():
     s = StateSet.of(0, 2, 5)
     assert 2 in s and 1 not in s

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from ftakit import (
 )
 from ftakit import randgen
 from ftakit.constructions import coreachable_mask, reachable_mask
+from ftakit.density import density_grid
 from ftakit.randgen import (
     _entropy_words,
     _fta_from_bools,
@@ -226,17 +228,35 @@ def test_generate_trim_reproducible_across_batching(monkeypatch):
     # Trial 2 first draws a trim automaton at attempt 164: inside the default's
     # sixth batch (attempts 125-252) and inside a 7-row batch (attempts 159-165).
     # With 150 attempts it exhausts, in a partial batch when batches hold 7 rows.
+    # A 3-row cap is below the first batch's 4 rows, so the reused buffer must
+    # not be asked for more rows than it holds.
     config = _config(n=4, d2=0.01, d0=0.5)
     exhausting = _config(n=4, d2=0.01, d0=0.5, max_attempts=150)
     expected = generate_trim(config, 5, 2)
     assert expected[1] == 164
-    for blocks in (None, 1, 7):
+    for blocks in (None, 1, 3, 7):
         if blocks:
             monkeypatch.setattr("ftakit.randgen._BATCH_DOUBLES", blocks * config.block_size)
         assert generate_trim(config, 5, 2) == expected
         with pytest.raises(ExhaustionError) as info:
             generate_trim(exhausting, 5, 2)
         assert info.value.attempts == 150
+
+
+def test_generate_trim_memory_stays_at_one_batch():
+    # Point x = 34 of the n = 12 setting-A grid is sparse: trial 6 at seed 3
+    # is accepted at attempt 18,485, past hundreds of 35-row batches.  One
+    # reused 0.5 MB buffer keeps the peak near one batch however many are drawn.
+    config = GenConfig(n=12, alphabet=Setting.A.alphabet, d2=density_grid(12)[34].d2,
+                       d0=0.5, max_attempts=100_000)
+    tracemalloc.start()
+    try:
+        _, attempts = generate_trim(config, 3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert attempts == 18_485
+    assert peak < 4_000_000
 
 
 def _generate_trim_one_row_at_a_time(config, seed, trial):
@@ -448,7 +468,7 @@ def test_trim_ratio_counts_each_trial_once_at_any_batch_size(monkeypatch, rows):
     # trim_ratio refills one buffer per batch; with 7 rows the last batch of 30
     # trials holds 2, and the 5 rows left over from the batch before must not count.
     config = _config(d2=0.2)
-    monkeypatch.setattr("ftakit.randgen._RATIO_BATCH_DOUBLES", rows * config.block_size)
+    monkeypatch.setattr("ftakit.randgen._BATCH_DOUBLES", rows * config.block_size)
     seed = as_seed(31)
     expected = sum(is_trim_ref(generate(config, seed.stream(t))) for t in range(30))
     assert 0 < expected < 30
@@ -462,8 +482,8 @@ def test_trim_ratio_matches_per_stream_definition_at_n12(monkeypatch, rows, bloc
     # or 7 derived states end inside a batch.  Every trial must still draw
     # exactly seed.stream(t).
     config = GenConfig(n=12, alphabet=Setting.B.alphabet, d2=0.01, d0=0.5)
-    assert randgen._RATIO_BATCH_DOUBLES // config.block_size == 17
-    monkeypatch.setattr("ftakit.randgen._RATIO_BATCH_DOUBLES", rows * config.block_size)
+    assert randgen._BATCH_DOUBLES // config.block_size == 17
+    monkeypatch.setattr("ftakit.randgen._BATCH_DOUBLES", rows * config.block_size)
     monkeypatch.setattr("ftakit.randgen._STATE_BLOCK", block)
     seed = as_seed(5)
     expected = sum(is_trim_ref(generate(config, seed.stream(t))) for t in range(40))
