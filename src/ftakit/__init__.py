@@ -26,7 +26,6 @@ from .core import (
     accepts,
     enumerate_trees,
     evaluate,
-    is_deterministic,
     language_fingerprint,
     sigma_bar,
 )
@@ -76,7 +75,7 @@ __all__ = [
     "as_seed", "canonical_size", "coreachable", "densities_csv",
     "density_grid", "determinize", "enumerate_trees", "equivalence_failures",
     "evaluate", "fit_peak", "fit_records", "format_fta", "generate",
-    "generate_trim", "is_deterministic", "is_trim", "language_fingerprint",
+    "generate_trim", "is_trim", "language_fingerprint",
     "minimize", "parse_fta", "peak_density", "pi2", "reachable",
     "round_half_up", "run_point", "run_sweep", "sigma_bar", "sweep_csv",
     "table_densities", "table_trim", "trim", "trim_csv", "trim_ratio",

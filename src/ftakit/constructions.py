@@ -129,22 +129,19 @@ def _require_binary_alphabet(fta: Fta, what: str) -> None:
         raise InputError(f"{what} supports ranks 0 and 2 only")
 
 
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Dense ranks of a nonempty 1-D array: equal values share a rank, order kept."""
-    order = values.argsort()
-    ordered = values[order]
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[order] = np.concatenate(([0], (ordered[1:] != ordered[:-1]).cumsum()))
-    return rank
-
-
-def _row_ranks(rows: np.ndarray) -> np.ndarray:
-    """Dense ranks of the rows of a 2-D array in lexicographic order."""
-    rank = _ranks(rows[:, 0])
-    for w in range(1, rows.shape[1]):
-        sub = _ranks(rows[:, w])
-        rank = _ranks(rank * (int(sub.max()) + 1) + sub)
-    return rank
+def _dense_ranks(*keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of the tuples that equal-length key columns spell, in
+    lexicographic order with ``keys[0]`` the most significant: equal tuples
+    share a rank.  Also the number of distinct tuples."""
+    order = np.lexsort(keys[::-1])
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for key in keys:
+        ordered = key[order]
+        first[1:] |= ordered[1:] != ordered[:-1]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = first.cumsum() - 1
+    return rank, int(first.sum())
 
 
 def _rules(fta: Fta, what: str):
@@ -242,8 +239,8 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
         by mask, and claim their slots where those are free.
         """
         nonlocal found, bits, offs
-        rank = _row_ranks(rows)
-        uniq = np.empty((int(rank.max()) + 1, n_words), dtype=np.uint64)
+        rank, n_uniq = _dense_ranks(*rows.T)
+        uniq = np.empty((n_uniq, n_words), dtype=np.uint64)
         uniq[rank] = rows
         ukeys = uniq.astype(">u8").view(f"V{8 * n_words}").ravel().tolist()
         ids = list(map(index.get, ukeys))
@@ -465,9 +462,9 @@ def _block_rows(n_states: int) -> int:
 
 def _same_profile(blk: np.ndarray, succ_tables: list[np.ndarray],
                   states: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Whether each state agrees with its reference state on its block and on
+    """Whether each state agrees with its reference state in its block on
     the block of every successor, as either argument, under every symbol."""
-    same = blk[states] == blk[refs]
+    same = np.ones(len(states), dtype=bool)
     step = _block_rows(len(blk))
     for table in succ_tables:
         # As first argument: whole rows, a block of states at a time.
@@ -509,42 +506,10 @@ def _refine(blk: np.ndarray, acc: np.ndarray) -> tuple[np.ndarray, int]:
 
     The new partition refines ``blk`` by construction.  Since equal profiles
     hash alike, states that are equivalent never separate; a hash collision
-    can only leave a block too coarse, which ``_verify`` catches.
+    can only leave a block too coarse, which ``minimize``'s exact check catches.
     """
-    order = np.lexsort((acc, blk))
-    b, a = blk[order], acc[order]
-    first = np.concatenate(([True], (b[1:] != b[:-1]) | (a[1:] != a[:-1])))
-    new_blk = np.empty(len(blk), dtype=np.int32)
-    new_blk[order] = first.cumsum() - 1
-    return new_blk, int(first.sum())
-
-
-def _verify(blk: np.ndarray, succ_tables: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    """The exact check: split every block of more than one state entry by entry.
-
-    Each round, the first unassigned member of every block opens a new block
-    that takes in the members with its profile; the others wait for the next
-    round.  A state alone in its block keeps a block of its own unchecked.
-    """
-    order = np.argsort(blk, kind="stable")
-    group = blk[order]
-    alone = np.bincount(blk)[group] == 1
-    next_id = int(alone.sum())
-    new_blk = np.empty(len(blk), dtype=np.int32)
-    new_blk[order[alone]] = np.arange(next_id, dtype=np.int32)
-    # The rest, listed by block and ascending state within a block.
-    states, group = order[~alone], group[~alone]
-    while states.size:
-        first = np.concatenate(([True], group[1:] != group[:-1]))
-        opened = first.cumsum() - 1
-        same = first.copy()
-        rest = ~first
-        same[rest] = _same_profile(blk, succ_tables, states[rest],
-                                   states[first][opened[rest]])
-        new_blk[states[same]] = next_id + opened[same]
-        next_id += int(first.sum())
-        states, group = states[~same], group[~same]
-    return new_blk, next_id
+    new_blk, count = _dense_ranks(blk, acc)
+    return new_blk.astype(np.int32), count
 
 
 def minimize(dfta: Dfta) -> CanonicalFta:
@@ -557,12 +522,14 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     under some symbol, argument position, and concrete co-argument, on the
     successor's block.
 
-    Refinement passes compare profiles through a 64-bit hash only.  A
-    hash-stable pass is verified exactly once, entry by entry: if that check
-    splits nothing, the partition is a congruence, and since no pass ever
-    separates equivalent states it is the coarsest one; otherwise the passes
-    go on.  A partition into singletons needs no check.  When nothing
-    merges, the quotient is the input, and its tables are copies.
+    Refinement passes compare profiles through a 64-bit hash only.  Once a
+    pass splits nothing, one exact check compares each block's members with
+    its first state, the one the quotient keeps: if all agree, the partition
+    is a congruence, and since no pass separates equivalent states it is the
+    coarsest one.  A hash collision leaves a member that disagrees; its
+    block splits off the members that disagree, and the passes go on.  A
+    partition into singletons needs no check.  When nothing merges, the
+    quotient is the input, and its tables are copies.
 
     Refinement and the quotient read the tables in blocks of rows, so they
     hold no array of |states|**2 entries besides the input and output tables.
@@ -576,24 +543,31 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     weights = _refinement_weights(n_states)
     is_final = np.zeros(n_states, dtype=bool)
     is_final[list(dfta.finals)] = True
-    blk = is_final.astype(np.int32)
-    n_blocks = len(np.unique(blk))
-    while n_blocks < n_states:
+    # Through _refine, so block ids are dense even if every state is final.
+    blk, n_blocks = _refine(np.zeros(n_states, dtype=np.int32), is_final)
+    states = np.arange(n_states)
+    while True:
+        # Each block's first state, the one the quotient keeps.
+        first = np.full(n_blocks, n_states)
+        np.minimum.at(first, blk, states)
+        if n_blocks == n_states:
+            break
         new_blk, new_count = _refine(blk, _profile_hashes(blk, succ_tables, *weights))
-        # Both new partitions refine blk, so an equal block count means the
-        # partition did not change.
+        # The new partition refines blk, so an equal block count means the
+        # partition did not change: check it exactly.
         if new_count == n_blocks:
-            new_blk, new_count = _verify(blk, succ_tables)
-            if new_count == n_blocks:
+            ref = first[blk]
+            rest = np.flatnonzero(ref != states)
+            same = np.ones(n_states, dtype=bool)
+            same[rest] = _same_profile(blk, succ_tables, rest, ref[rest])
+            if same.all():
                 break
+            new_blk, new_count = _refine(blk, same)
         blk, n_blocks = new_blk, new_count
 
-    # Number blocks in order of first appearance; a block's first state
-    # represents it.
-    _, first, inverse = np.unique(blk, return_index=True, return_inverse=True)
-    relabel = np.empty(len(first), dtype=np.int32)
-    relabel[first.argsort()] = np.arange(len(first), dtype=np.int32)
-    blk = relabel[inverse]
+    # Number blocks in the order of their first states.
+    relabel, _ = _dense_ranks(first)
+    blk = relabel.astype(np.int32)[blk]
     reps = np.sort(first)
     n_min = len(reps)
 
@@ -613,8 +587,8 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     finals = frozenset(int(blk[f]) for f in dfta.finals)
     # Dead states all have the empty residual language, so a congruence
     # that separates two of them is not the coarsest one.
-    dead = np.unique(blk[list(dfta.dead)])
-    if len(dead) > 1:
+    dead = blk[list(dfta.dead)]
+    if _dense_ranks(dead)[1] > 1:
         raise RuntimeError("distinct dead states survived refinement")
     sink = int(dead[0]) if len(dead) else None
 

@@ -117,12 +117,6 @@ class Tree:
     def is_state_leaf(self) -> bool:
         return self.state is not None
 
-    @property
-    def height(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(child.height for child in self.children)
-
     def has_state_leaves(self) -> bool:
         if self.is_state_leaf:
             return True
@@ -190,12 +184,6 @@ class StateSet:
 
     def __and__(self, other: "StateSet") -> "StateSet":
         return StateSet(self.bits & other.bits)
-
-    def __sub__(self, other: "StateSet") -> "StateSet":
-        return StateSet(self.bits & ~other.bits)
-
-    def issubset(self, other: "StateSet") -> bool:
-        return self.bits & ~other.bits == 0
 
     def isdisjoint(self, other: "StateSet") -> bool:
         return self.bits & other.bits == 0
@@ -291,17 +279,6 @@ def accepts(fta: Fta, tree: Tree) -> bool:
     if tree.has_state_leaves():
         raise InputError("accepts() is defined on ground trees only")
     return not evaluate(fta, tree).isdisjoint(fta.final_set())
-
-
-def is_deterministic(fta: Fta) -> bool:
-    """True iff no two rules share the same symbol and argument sequence."""
-    seen: set[tuple[str, tuple[int, ...]]] = set()
-    for t in fta.transitions:
-        lhs = (t.symbol, t.args)
-        if lhs in seen:
-            return False
-        seen.add(lhs)
-    return True
 
 
 def _enumerate(alphabet: RankedAlphabet, max_height: int) -> list[tuple[Tree, tuple]]:

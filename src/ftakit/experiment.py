@@ -208,6 +208,8 @@ def run_point(
         dfta = determinize(fta)
         det_sizes.append(dfta.size)
         canonical = minimize(dfta).size
+        # Free the tables before the next trial builds its own.
+        del dfta
         if canonical < 1:
             raise RuntimeError("a trim automaton accepts at least one tree")
         canonical_sizes.append(canonical)

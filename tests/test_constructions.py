@@ -22,7 +22,6 @@ from ftakit import (
     determinize,
     generate,
     generate_trim,
-    is_deterministic,
     is_trim,
     language_fingerprint,
     minimize,
@@ -31,6 +30,7 @@ from ftakit import (
 )
 from ftakit import constructions
 from ftakit.density import peak_density
+from determinism_reference import is_deterministic
 from determinize_reference import determinize_ref
 from isomorphism_reference import isomorphic
 from language_reference import language_mismatch
@@ -465,6 +465,47 @@ def test_refine_keeps_old_blocks_apart():
         [0, 4], [1], [2, 3]]
 
 
+def _keys(dtype):
+    """Keys of ``dtype``, often 0, 1 or an extreme so that tuples repeat."""
+    info = np.iinfo(dtype)
+    return st.one_of(st.sampled_from([0, 1, int(info.min), int(info.max)]),
+                     st.integers(int(info.min), int(info.max)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([np.int32, np.uint64]), min_size=1, max_size=3),
+       st.integers(0, 30), st.data())
+def test_dense_ranks_are_ranks_of_distinct_tuples(dtypes, size, data):
+    keys = [np.array(data.draw(st.lists(_keys(dtype), min_size=size, max_size=size)),
+                     dtype=dtype) for dtype in dtypes]
+    rank, count = constructions._dense_ranks(*keys)
+    tuples = list(zip(*(key.tolist() for key in keys)))
+    distinct = sorted(set(tuples))
+    assert count == len(distinct)
+    assert rank.tolist() == [distinct.index(t) for t in tuples]
+
+
+# Golden peak instances.  Nothing merges in the first two, so refinement ends
+# in singletons with no exact check; in the others one check compares every
+# member of a block but the first with the block's first state.
+@pytest.mark.parametrize("setting, n, seed, checked", [
+    (Setting.A, 8, 3, []), (Setting.B, 7, 2, []),
+    (Setting.A, 8, 23, [26]), (Setting.A, 9, 20, [18]), (Setting.A, 6, 4, [1]),
+])
+def test_minimize_exact_check_calls(monkeypatch, setting, n, seed, checked):
+    dfta = determinize(_peak_fta(setting, n, seed))
+    calls = []
+    same_profile = constructions._same_profile
+
+    def counted(blk, succ_tables, states, refs):
+        calls.append(len(states))
+        return same_profile(blk, succ_tables, states, refs)
+
+    monkeypatch.setattr(constructions, "_same_profile", counted)
+    minimize(dfta)
+    assert calls == checked
+
+
 # Golden peak instances: no two subset states merge in the first two (255
 # and 124 states), and 87 merge into 61 in the third.
 @pytest.mark.parametrize("setting, n, seed, n_canonical", [
@@ -557,6 +598,11 @@ def test_minimize_merges_equivalent_finals():
     assert language_fingerprint(m, 2) == language_fingerprint(
         minimize(dfta).to_fta(), 2
     )
+    # Every state final and no sink: refinement starts from a single block.
+    total = _fta(alph, {1, 2}, {1, 2}, [("a", (), 1), ("b", (), 2)]
+                 + [("sigma", (p, q), 1) for p in (1, 2) for q in (1, 2)])
+    assert determinize(total).finals == {0, 1}
+    assert minimize(determinize(total)).size == 1
 
 
 def test_minimize_rejects_distinct_dead_states(ab_alphabet, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ from ftakit import (
     Setting,
     canonical_size,
     densities_csv,
+    determinize,
     fit_peak,
     fit_records,
     generate_trim,
@@ -84,6 +86,21 @@ def test_run_point_deterministic():
     a = run_point(Setting.A, 4, 0.17, 8, 2024)
     b = run_point(Setting.A, 4, 0.17, 8, 2024)
     assert a == b
+
+
+def test_run_point_frees_each_trial_before_the_next(monkeypatch):
+    made = []
+
+    def tracked(fta):
+        # Every earlier trial's determinized tables are gone by now.
+        assert all(ref() is None for ref in made)
+        dfta = determinize(fta)
+        made.append(weakref.ref(dfta))
+        return dfta
+
+    monkeypatch.setattr(experiment, "determinize", tracked)
+    run_point(Setting.A, 6, peak_density(6), 3, 7)
+    assert len(made) == 3
 
 
 def test_run_point_validation():

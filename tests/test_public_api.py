@@ -7,8 +7,7 @@ import ftakit
 PUBLIC_NAMES = {
     # core
     "Fta", "RankedAlphabet", "StateSet", "Transition", "Tree", "accepts",
-    "enumerate_trees", "evaluate", "is_deterministic", "language_fingerprint",
-    "sigma_bar",
+    "enumerate_trees", "evaluate", "language_fingerprint", "sigma_bar",
     # constructions
     "CanonicalFta", "Dfta", "canonical_size", "coreachable", "determinize",
     "is_trim", "minimize", "reachable", "trim",
@@ -39,5 +38,6 @@ def test_every_public_name_resolves():
 
 
 def test_retired_names_are_gone():
-    for name in ("compare_settings", "SettingsReport", "TrimEstimate", "isomorphic"):
+    for name in ("compare_settings", "SettingsReport", "TrimEstimate", "isomorphic",
+                 "is_deterministic"):
         assert not hasattr(ftakit, name), name
