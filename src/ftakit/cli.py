@@ -88,8 +88,8 @@ _setting_option = click.option(
     help="Alphabet: A = one binary symbol, B = two.")
 _seed_option = click.option("--seed", type=int, default=None,
                             help="Master seed (random if omitted; always echoed).")
-_workers_option = click.option("--workers", type=int, default=None,
-                               help="Parallel workers (default: FTAKIT_WORKERS or 1).")
+_workers_option = click.option("--workers", type=int, default=1, show_default=True,
+                               help="Parallel workers.")
 
 
 @click.group()

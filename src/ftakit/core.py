@@ -85,46 +85,22 @@ class RankedAlphabet:
         return all(r in (0, 2) for r in self._ranks.values())
 
 
-@dataclass(frozen=True)
-class Tree:
-    """A node-labeled ordered tree; leaves may instead hold a state identifier.
+class Tree(NamedTuple):
+    """A ground term: a symbol name over an ordered tuple of subtrees.
 
-    Exactly one of ``label`` (a symbol name) and ``state`` is set.  State
-    leaves never have children.  Symbol arity is not known to the tree itself
-    and is checked against an alphabet when the tree is evaluated.
+    Symbol arity is not known to the tree itself and is checked against an
+    alphabet when the tree is evaluated.  A tree compares, orders and hashes
+    as the plain tuple ``(label, children)``, like ``Transition``.
     """
 
-    label: str | None
-    children: tuple["Tree", ...] = ()
-    state: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if (self.label is None) == (self.state is None):
-            raise InputError("a tree node carries either a symbol or a state")
-        if self.state is not None and self.children:
-            raise InputError("state leaves have no children")
+    label: str
+    children: tuple[Tree, ...] = ()
 
     @classmethod
-    def of(cls, label: str, *children: "Tree") -> "Tree":
-        return cls(label, tuple(children))
-
-    @classmethod
-    def state_leaf(cls, state: int) -> "Tree":
-        return cls(None, (), state)
-
-    @property
-    def is_state_leaf(self) -> bool:
-        return self.state is not None
-
-    def has_state_leaves(self) -> bool:
-        if self.is_state_leaf:
-            return True
-        return any(child.has_state_leaves() for child in self.children)
+    def of(cls, label: str, *children: Tree) -> Tree:
+        return cls(label, children)
 
     def __str__(self) -> str:
-        if self.is_state_leaf:
-            return f"<{self.state}>"
         if not self.children:
             return self.label
         return f"{self.label}({','.join(str(c) for c in self.children)})"
@@ -256,13 +232,9 @@ def sigma_bar(fta: Fta, symbol: str, args: Sequence[StateSet]) -> StateSet:
 def evaluate(fta: Fta, tree: Tree) -> StateSet:
     """Run the automaton bottom-up and return the set of states the tree reaches.
 
-    State leaves evaluate to themselves; inner nodes apply ``sigma_bar`` to
-    their children's results.  Pure function of its inputs.
+    Each node applies ``sigma_bar`` to its children's results.  Pure function
+    of its inputs.
     """
-    if tree.is_state_leaf:
-        if tree.state not in fta.states:
-            raise InputError(f"state leaf {tree.state} is not a state of the automaton")
-        return StateSet.of(tree.state)
     rank = fta.alphabet.rank(tree.label)
     if len(tree.children) != rank:
         raise InputError(
@@ -272,12 +244,7 @@ def evaluate(fta: Fta, tree: Tree) -> StateSet:
 
 
 def accepts(fta: Fta, tree: Tree) -> bool:
-    """True when the tree's evaluation meets a final state.
-
-    The tree must be ground (no state leaves).
-    """
-    if tree.has_state_leaves():
-        raise InputError("accepts() is defined on ground trees only")
+    """True when the tree's evaluation meets a final state."""
     return not evaluate(fta, tree).isdisjoint(fta.final_set())
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -42,8 +41,6 @@ SWEEP_MAX_ATTEMPTS = 500_000
 
 # The nullary density of every sweep and table (see ftakit.density).
 SWEEP_D0 = 0.5
-
-WORKERS_ENV = "FTAKIT_WORKERS"
 
 _POINT_TAG = 0
 _TRIM_TAG = 1
@@ -240,22 +237,11 @@ class SweepResult:
         raise KeyError(f"no grid point x={x}")
 
 
-def _resolve_workers(workers: int | None) -> int:
-    name = "workers"
-    if workers is None:
-        name, raw = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InputError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise InputError(f"{name} must be at least 1, got {workers}")
-    return workers
-
-
 def _call_in_order(calls: list, workers: int) -> list:
     """Results of zero-argument picklable calls, in order, on up to ``workers`` processes."""
-    if workers <= 1 or len(calls) <= 1:
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
+    if workers == 1 or len(calls) <= 1:
         return [call() for call in calls]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(call) for call in calls]
@@ -270,7 +256,7 @@ def run_sweep(
     steps: int = 40,
     trials: int = 40,
     max_attempts: int = SWEEP_MAX_ATTEMPTS,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> SweepResult:
     """One full density sweep for a state count, plus the fitted peak."""
     if not 2 <= n:
@@ -283,7 +269,7 @@ def run_sweep(
                 x=point.x, max_attempts=max_attempts)
         for point in density_grid(n, steps)
     ]
-    records = tuple(_call_in_order(calls, _resolve_workers(workers)))
+    records = tuple(_call_in_order(calls, workers))
     return SweepResult(setting=setting, n=n, records=records, fit=fit_records(records))
 
 
@@ -337,7 +323,7 @@ def table_densities(
     *,
     steps: int = 40,
     trials: int = 40,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[DensityRow]:
     """Expected and observed peak densities (with intervals) per state count."""
     rows = []
@@ -379,7 +365,7 @@ def table_trim(
     n_values: Sequence[int] = TRIM_TABLE_SIZES,
     trials: int = 1000,
     include_blank: bool = False,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[TrimCell]:
     """Trim fractions over the (density, n) grid of the reference table.
 
@@ -395,7 +381,7 @@ def table_trim(
         for n in n_values
         if include_blank or (d2, n) not in _TRIM_TABLE_BLANK
     ]
-    return _call_in_order(calls, _resolve_workers(workers))
+    return _call_in_order(calls, workers)
 
 
 TRIM_CSV_HEADER = "d2,n,trials,trim,ratio,ci_half_width"

@@ -43,13 +43,9 @@ def test_alphabet_general_ranks_are_representable():
     assert alph.nullary == ["a"]
 
 
-def test_tree_shape_constraints():
-    with pytest.raises(InputError):
-        Tree(None, ())
-    with pytest.raises(InputError):
-        Tree(None, (A,), state=1)
-    leaf = Tree.state_leaf(3)
-    assert leaf.is_state_leaf
+def test_evaluate_rejects_tree_without_label(example_fta):
+    with pytest.raises(InputError, match="unknown symbol None"):
+        evaluate(example_fta, Tree(None))
 
 
 def test_fta_wraps_plain_tuples_as_transitions(ab_alphabet, example_fta):
@@ -88,27 +84,15 @@ def test_evaluate_empty_transitions(ab_alphabet):
     assert evaluate(empty, A) == StateSet()
 
 
-def test_evaluate_rejects_unknown_symbol_and_state(example_fta):
-    other = Tree.of("beta")
+def test_evaluate_rejects_unknown_symbol(example_fta):
     with pytest.raises(InputError):
-        evaluate(example_fta, other)
-    with pytest.raises(InputError):
-        evaluate(example_fta, Tree.state_leaf(9))
-
-
-def test_evaluate_state_leaf(example_fta):
-    assert evaluate(example_fta, Tree.state_leaf(1)) == StateSet.of(1)
+        evaluate(example_fta, Tree.of("beta"))
 
 
 def test_accepts_example(example_fta):
     witness = Tree.of("sigma", Tree.of("sigma", SAA, A), A)
     assert accepts(example_fta, witness)
     assert not accepts(example_fta, A)
-
-
-def test_accepts_needs_ground_tree(example_fta):
-    with pytest.raises(InputError):
-        accepts(example_fta, Tree.of("sigma", Tree.state_leaf(1), A))
 
 
 def test_accepts_no_finals(ab_alphabet, example_fta):

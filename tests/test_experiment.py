@@ -28,7 +28,7 @@ from ftakit import (
     trim_csv,
 )
 from ftakit import experiment
-from ftakit.experiment import TRIM_TABLE_SIZES, WORKERS_ENV, equivalence_failures
+from ftakit.experiment import TRIM_TABLE_SIZES, equivalence_failures
 
 
 def test_fit_peak_single_density():
@@ -118,21 +118,12 @@ def test_run_point_rejects_empty_canonical_language(monkeypatch):
         run_point(Setting.A, 4, 0.5, 1, 3)
 
 
-def test_workers_env_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "two")
-    with pytest.raises(InputError, match=WORKERS_ENV):
-        run_sweep(Setting.A, 3, 1, steps=2, trials=1)
-
-
 @pytest.mark.parametrize("workers", [0, -3])
-def test_workers_must_be_positive(monkeypatch, workers):
+def test_workers_must_be_positive(workers):
     with pytest.raises(InputError, match=f"workers must be at least 1, got {workers}"):
         run_sweep(Setting.A, 3, 1, steps=2, trials=1, workers=workers)
     with pytest.raises(InputError, match="workers must be at least 1"):
         table_trim(1, trials=1, workers=workers)
-    monkeypatch.setenv(WORKERS_ENV, str(workers))
-    with pytest.raises(InputError, match=f"{WORKERS_ENV} must be at least 1"):
-        run_sweep(Setting.A, 3, 1, steps=2, trials=1)
 
 
 def test_run_point_exhaustion_is_recorded():

@@ -41,3 +41,9 @@ def test_retired_names_are_gone():
     for name in ("compare_settings", "SettingsReport", "TrimEstimate", "isomorphic",
                  "is_deterministic"):
         assert not hasattr(ftakit, name), name
+
+
+def test_tree_is_a_ground_term():
+    assert ftakit.Tree._fields == ("label", "children")
+    for name in ("state_leaf", "is_state_leaf", "has_state_leaves"):
+        assert not hasattr(ftakit.Tree, name), name
