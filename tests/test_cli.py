@@ -235,3 +235,14 @@ def test_exit_code_workers_below_one(runner, flag, message):
     assert result.exit_code == 3
     assert result.stderr.splitlines()[-1] == f"error: {message}"
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["table1", "--n", "3", "--steps", "2", "--trials", "1"],
+    ["table2", "--trials", "1"],
+])
+def test_exit_code_table_workers_below_one(runner, args):
+    result = runner.invoke(main, [*args, "--seed", "1", "--workers", "0"])
+    assert result.exit_code == 3
+    assert result.stderr.splitlines()[-1] == "error: workers must be at least 1, got 0"
+    assert result.stdout == ""

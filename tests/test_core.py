@@ -43,6 +43,15 @@ def test_alphabet_general_ranks_are_representable():
     assert alph.nullary == ["a"]
 
 
+def test_tree_shape_constraints():
+    assert Tree("alpha") == ("alpha", ())
+    assert SAA.children == (A, A) and type(SAA.children) is tuple
+    assert SAA == ("sigma", (("alpha", ()), ("alpha", ())))
+    assert hash(SAA) == hash(("sigma", (("alpha", ()), ("alpha", ()))))
+    assert sorted([SAA, Tree.of("sigma", SAA, A), A]) == [A, SAA, Tree.of("sigma", SAA, A)]
+    assert str(Tree.of("sigma", SAA, A)) == "sigma(sigma(alpha,alpha),alpha)"
+
+
 def test_evaluate_rejects_tree_without_label(example_fta):
     with pytest.raises(InputError, match="unknown symbol None"):
         evaluate(example_fta, Tree(None))
@@ -87,6 +96,14 @@ def test_evaluate_empty_transitions(ab_alphabet):
 def test_evaluate_rejects_unknown_symbol(example_fta):
     with pytest.raises(InputError):
         evaluate(example_fta, Tree.of("beta"))
+
+
+def test_evaluate_rejects_wrong_child_count(example_fta):
+    for bad in [Tree.of("sigma", A), Tree.of("alpha", A), Tree.of("sigma", A, Tree.of("sigma", A))]:
+        with pytest.raises(InputError, match="children, rank is"):
+            evaluate(example_fta, bad)
+        with pytest.raises(InputError, match="children, rank is"):
+            accepts(example_fta, bad)
 
 
 def test_accepts_example(example_fta):

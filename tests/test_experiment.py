@@ -118,6 +118,13 @@ def test_run_point_rejects_empty_canonical_language(monkeypatch):
         run_point(Setting.A, 4, 0.5, 1, 3)
 
 
+def test_workers_env_is_ignored(monkeypatch):
+    plain = run_sweep(Setting.A, 3, 1, steps=2, trials=1)
+    for value in ("two", "0"):
+        monkeypatch.setenv("FTAKIT_WORKERS", value)
+        assert run_sweep(Setting.A, 3, 1, steps=2, trials=1) == plain
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_must_be_positive(workers):
     with pytest.raises(InputError, match=f"workers must be at least 1, got {workers}"):
