@@ -133,7 +133,9 @@ def _dense_ranks(*keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense ranks of the tuples that equal-length key columns spell, in
     lexicographic order with ``keys[0]`` the most significant: equal tuples
     share a rank.  Also the number of distinct tuples."""
-    order = np.lexsort(keys[::-1])
+    # lexsort sorts even one key with its stable sort, several times slower
+    # than argsort's default; equal keys share a rank in any order.
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
     first = np.zeros(len(order), dtype=bool)
     first[:1] = True
     for key in keys:

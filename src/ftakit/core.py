@@ -8,9 +8,12 @@ accepted when its evaluation meets a final state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, InputError
 
@@ -248,8 +251,34 @@ def accepts(fta: Fta, tree: Tree) -> bool:
     return not evaluate(fta, tree).isdisjoint(fta.final_set())
 
 
-def _enumerate(alphabet: RankedAlphabet, max_height: int) -> list[tuple[Tree, tuple]]:
-    """The trees of ``enumerate_trees``, each with its children's list positions."""
+# Rows of one group evaluated together are capped so that each boolean
+# temporary, (rows, rules) or (rows, states), holds at most this many
+# entries (or one row's worth).
+_EVAL_CHUNK = 1 << 20
+
+
+class _Enumeration(NamedTuple):
+    """The trees of ``enumerate_trees`` with the positions that evaluate them.
+
+    ``groups`` holds one ``(label, start, stop, kids)`` entry per height and
+    symbol: the trees ``trees[start:stop]`` all carry ``label`` and have
+    their children at ``kids[:, k]``, a read-only ``(rank, stop - start)``
+    intp array of positions in ``trees``.
+    """
+
+    trees: tuple[Tree, ...]
+    groups: tuple[tuple[str, int, int, np.ndarray], ...]
+
+
+@functools.lru_cache(maxsize=1)
+def _enumerate(alphabet: RankedAlphabet, max_height: int) -> _Enumeration:
+    """The trees of ``enumerate_trees``, grouped by height and symbol.
+
+    Only the last (alphabet, height) asked for is kept, so the cache holds
+    one enumeration alive until another is asked for: up to ``MAX_ENUM_TREES``
+    trees (about 1M for setting B at height 4).  The guards run before any
+    tree is built, and what they raise is not cached.
+    """
     if max_height < 0:
         raise InputError("max_height must be nonnegative")
     count = 0
@@ -258,17 +287,30 @@ def _enumerate(alphabet: RankedAlphabet, max_height: int) -> list[tuple[Tree, tu
         if count > MAX_ENUM_TREES:
             raise ConfigError(f"enumerating trees up to height {max_height} needs at "
                               f"least {count} trees (guard {MAX_ENUM_TREES})")
-    nodes = [(Tree.of(name), ()) for name in alphabet.nullary]
+    trees = [Tree(name) for name in alphabet.nullary]
+    nullary_kids = np.empty((0, 1), dtype=np.intp)
+    nullary_kids.flags.writeable = False
+    groups = [(name, k, k + 1, nullary_kids) for k, name in enumerate(alphabet.nullary)]
     lo = 0  # position of the first tree of the level below
     for _ in range(max_height):
-        hi = len(nodes)
+        hi = len(trees)
+        below = tuple(trees)
         for name, rank in sorted(alphabet.symbols):
-            # Keep the combinations with at least one child from the level below.
-            for combo in itertools.product(range(hi), repeat=rank):
-                if rank and max(combo) >= lo:
-                    nodes.append((Tree.of(name, *(nodes[i][0] for i in combo)), combo))
+            if not rank:
+                continue
+            # Child positions in lexicographic order, keeping the combinations
+            # with at least one child from the level below; the guard above
+            # bounds the hi**rank combinations.
+            combos = np.indices((hi,) * rank, dtype=np.intp).reshape(rank, -1)
+            keep = combos.max(axis=0) >= lo
+            kids = np.ascontiguousarray(combos[:, keep])
+            kids.flags.writeable = False
+            start = len(trees)
+            trees.extend(map(Tree, itertools.repeat(name), itertools.compress(
+                itertools.product(below, repeat=rank), keep.tolist())))
+            groups.append((name, start, len(trees), kids))
         lo = hi
-    return nodes
+    return _Enumeration(tuple(trees), tuple(groups))
 
 
 def enumerate_trees(alphabet: RankedAlphabet, max_height: int) -> list[Tree]:
@@ -277,29 +319,54 @@ def enumerate_trees(alphabet: RankedAlphabet, max_height: int) -> list[Tree]:
     Trees are listed by height, then by symbol name, then by their children's
     positions in this list, in lexicographic order; children precede parents,
     and the output for height h is a prefix of the output for height h + 1.
-    Heights whose tree count passes ``MAX_ENUM_TREES`` are refused.
+    Heights whose tree count passes ``MAX_ENUM_TREES`` are refused.  The
+    trees come from the one cached enumeration ``language_fingerprint`` reads;
+    each call returns a fresh list, so changing it changes no later result.
     """
-    return [tree for tree, _ in _enumerate(alphabet, max_height)]
+    return list(_enumerate(alphabet, max_height).trees)
 
 
 def language_fingerprint(fta: Fta, max_height: int) -> frozenset[Tree]:
     """The accepted trees of height <= max_height (a finite language sample).
 
-    Each tree is evaluated once from its children's state sets, so the cost is
-    linear in the number of enumerated trees rather than in their node count.
+    The trees come from one cached enumeration (see ``enumerate_trees``) and
+    are evaluated level by level into a boolean (trees, states) matrix, one
+    height-and-symbol group at a time: a rule fires on a tree when every
+    child reaches the rule's argument, and each target gathers its rules'
+    hits.  A group is split into row chunks so that its (rows, rules) and
+    (rows, states) temporaries hold at most ``_EVAL_CHUNK`` entries.  The result holds the
+    cached ``Tree`` objects, so fingerprints at one height share them.
     """
-    rule_index: dict[tuple[str, tuple[int, ...]], int] = {}
+    trees, groups = _enumerate(fta.alphabet, max_height)
+    states = sorted(fta.states)
+    pos = {q: k for k, q in enumerate(states)}
+    by_symbol: dict[str, list[tuple[int, ...]]] = {}
     for t in fta.transitions:
-        key = (t.symbol, t.args)
-        rule_index[key] = rule_index.get(key, 0) | (1 << t.target)
-    final_bits = fta.final_set().bits
-    reached: list[tuple[int, ...]] = []  # states of each tree, by list position
-    accepted: list[Tree] = []
-    for tree, children in _enumerate(fta.alphabet, max_height):
-        bits = 0
-        for combo in itertools.product(*(reached[i] for i in children)):
-            bits |= rule_index.get((tree.label, combo), 0)
-        reached.append(tuple(StateSet(bits)))
-        if bits & final_bits:
-            accepted.append(tree)
-    return frozenset(accepted)
+        by_symbol.setdefault(t.symbol, []).append(
+            (pos[t.target], *(pos[q] for q in t.args)))
+    # Per symbol: argument positions (rank, rules) sorted by target, the
+    # start of each target's run of rules, and the run's target position.
+    rules = {}
+    for symbol, rows in by_symbol.items():
+        table = np.array(sorted(rows), dtype=np.intp)
+        targets = table[:, 0]
+        bounds = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
+        rules[symbol] = (table[:, 1:].T, bounds, targets[bounds])
+    reached = np.zeros((len(trees), len(states)), dtype=bool)
+    for label, start, stop, kids in groups:
+        if label not in rules:
+            continue
+        args, bounds, columns = rules[label]
+        if not len(kids):
+            reached[start:stop, columns] = True
+            continue
+        step = max(1, _EVAL_CHUNK // max(args.shape[1], len(states)))
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            sub = kids[:, lo - start:hi - start]
+            hit = reached[sub[0]][:, args[0]]
+            for i in range(1, len(kids)):
+                hit &= reached[sub[i]][:, args[i]]
+            reached[lo:hi, columns] = np.logical_or.reduceat(hit, bounds, axis=1)
+    accepted = reached[:, [pos[q] for q in sorted(fta.finals)]].any(axis=1)
+    return frozenset(itertools.compress(trees, accepted.tolist()))

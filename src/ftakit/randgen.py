@@ -35,7 +35,7 @@ import numpy as np
 from .core import Fta, RankedAlphabet, Transition
 from .errors import ExhaustionError, InputError
 
-# Upper bound on the uniform doubles per vectorized batch: one reused 0.5 MB
+# Upper bound on the uniform doubles per vectorized batch: at most one 0.5 MB
 # buffer per call, which keeps peak memory apart from how the allocator reuses
 # freed arrays and keeps a batch in cache while it is thresholded.  A block
 # holds at least n**3 doubles, so the float32 rule matrices of a batch's
@@ -341,9 +341,10 @@ def generate_trim(config: GenConfig, seed: Seed | int, trial: int = 0) -> tuple[
     """Regenerate until the automaton is trim; return it with the attempt count.
 
     Attempts are independent blocks of the trial's stream.  They are drawn in
-    batches into one reused buffer of at most ``_BATCH_DOUBLES`` doubles (at
-    least one block); batches start at 4 rows, or the cap if lower, and grow
-    x2 up to the cap.  The stream is sequential, so the batch schedule
+    batches of at most ``_BATCH_DOUBLES`` doubles (at least one block);
+    batches start at 4 rows, or the cap if lower, and grow x2 up to the cap.
+    The buffer they are drawn into holds one batch and is reallocated only
+    when the batch grows.  The stream is sequential, so the batch schedule
     changes no draw.  Raises ExhaustionError after ``config.max_attempts``
     failures, which signals a density where trim automata are vanishingly
     rare.
@@ -352,11 +353,15 @@ def generate_trim(config: GenConfig, seed: Seed | int, trial: int = 0) -> tuple[
     stream = seed.stream(trial)
     block = config.block_size
     cap = max(1, _BATCH_DOUBLES // block)
-    buf = np.empty((min(cap, config.max_attempts), block))
     attempts = 0
     batch = min(4, cap)
+    buf = np.empty((0, block))
     while attempts < config.max_attempts:
         take = min(batch, config.max_attempts - attempts)
+        if take > len(buf):
+            # Free the smaller buffer first, so that the two never coexist.
+            buf = u = None
+            buf = np.empty((take, block))
         u = stream.random(out=buf[:take])
         hits = _trim_rows(config, u)
         if hits.size:

@@ -485,6 +485,18 @@ def test_dense_ranks_are_ranks_of_distinct_tuples(dtypes, size, data):
     assert rank.tolist() == [distinct.index(t) for t in tuples]
 
 
+def test_dense_ranks_one_key_matches_lexsort_path():
+    # One key is ordered by argsort, several by lexsort; a constant second
+    # key sends the same tuples through the lexsort path.  Ties are the norm:
+    # 5,000 keys take 40 distinct values, extremes included.
+    values = np.array([0, 1, 2**63, 2**64 - 1, *range(7, 43)], dtype=np.uint64)
+    keys = np.random.default_rng(3).choice(values, size=5_000)
+    rank, count = constructions._dense_ranks(keys)
+    lex_rank, lex_count = constructions._dense_ranks(keys, np.zeros_like(keys))
+    assert count == lex_count == 40
+    assert rank.tolist() == lex_rank.tolist()
+
+
 # Golden peak instances.  Nothing merges in the first two, so refinement ends
 # in singletons with no exact check; in the others one check compares every
 # member of a block but the first with the block's first state.

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ftakit import (
     ConfigError,
@@ -23,6 +25,7 @@ from ftakit import (
     language_fingerprint,
     sigma_bar,
 )
+from ftakit import core
 from determinism_reference import is_deterministic
 
 A = Tree.of("alpha")
@@ -220,8 +223,8 @@ def test_fingerprint_empty_finals(example_fta, ab_alphabet):
 
 
 def test_fingerprint_matches_accepts(example_fta):
-    # The fingerprint takes a different route (product lookup over the state
-    # sets of child positions) than accepts (definitional recursion); they
+    # The fingerprint takes a different route (boolean evaluation of whole
+    # height-and-symbol groups) than accepts (definitional recursion); they
     # must agree tree by tree, for every rank.
     ranks_fta = Fta(
         frozenset({0, 1, 2}),
@@ -246,6 +249,103 @@ def test_fingerprint_matches_accepts(example_fta):
             for t in trees:
                 assert (t in fp) == accepts(fta, t)
         assert 0 < len(fp) < len(trees)
+
+
+def _tree_count(alphabet: RankedAlphabet, height: int) -> int:
+    count = 0
+    for _ in range(height + 1):
+        count = sum(count**rank for _, rank in alphabet.symbols)
+    return count
+
+
+@st.composite
+def _automata(draw):
+    """An automaton over ranks 0-3 with state ids up to 99, and a height whose
+    enumeration stays small.  Any symbol may get no rules, finals may be empty
+    and there may be no states at all."""
+    ranks = {"a": 0}
+    for name, top in (("b", 0), ("g", 1), ("s", 2), ("f", 3)):
+        if draw(st.booleans()):
+            ranks[name] = top
+    alphabet = RankedAlphabet.of(**ranks)
+    height = draw(st.integers(0, 3))
+    while _tree_count(alphabet, height) > 400:
+        height -= 1
+    states = sorted(draw(st.sets(st.integers(0, 99), max_size=5)))
+    finals = draw(st.sets(st.sampled_from(states))) if states else set()
+    rules = set()
+    if states:
+        state = st.sampled_from(states)
+        for name, rank in ranks.items():
+            rules |= {Transition(name, args, target) for args, target in draw(st.lists(
+                st.tuples(st.tuples(*[state] * rank), state), max_size=6))}
+    return Fta(frozenset(states), alphabet, frozenset(finals), frozenset(rules)), height
+
+
+_NO_STATES = Fta(frozenset(), RankedAlphabet.of(a=0, g=1, f=3), frozenset(), frozenset())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_automata())
+@example((_NO_STATES, 2))
+def test_fingerprint_matches_accepts_on_random_automata(case):
+    fta, height = case
+    fp = language_fingerprint(fta, height)
+    trees = enumerate_trees(fta.alphabet, height)
+    assert fp <= set(trees)
+    for t in trees:
+        assert (t in fp) == accepts(fta, t)
+
+
+def test_fingerprint_chunk_boundaries(monkeypatch, example_fta):
+    # With 7-entry chunks every inner group is split into runs of one or two
+    # rows (7 // max(rules, states)), so chunk boundaries fall inside groups.
+    ranks_fta = Fta(
+        frozenset({4, 9, 30}),
+        RankedAlphabet.of(a=0, g=1, f=3),
+        frozenset({30}),
+        frozenset([
+            Transition("a", (), 4), Transition("a", (), 9),
+            Transition("g", (4,), 9), Transition("g", (9,), 30),
+            Transition("f", (9, 4, 30), 30), Transition("f", (30, 30, 30), 9),
+        ]),
+    )
+    cases = [(example_fta, 3), (ranks_fta, 2)]
+    expected = [language_fingerprint(fta, height) for fta, height in cases]
+    monkeypatch.setattr(core, "_EVAL_CHUNK", 7)
+    for (fta, height), fp in zip(cases, expected):
+        assert language_fingerprint(fta, height) == fp
+        for t in enumerate_trees(fta.alphabet, height):
+            assert (t in fp) == accepts(fta, t)
+    assert 0 < len(expected[1]) < len(enumerate_trees(ranks_fta.alphabet, 2))
+
+
+def test_enumeration_cache_survives_callers(example_fta, ab_alphabet):
+    # The list is the caller's own: mutating it changes no later call.
+    trees = enumerate_trees(ab_alphabet, 3)
+    expected = list(trees)
+    fp = language_fingerprint(example_fta, 3)
+    trees.clear()
+    assert enumerate_trees(ab_alphabet, 3) == expected
+    assert language_fingerprint(example_fta, 3) == fp
+    # Asking for h, then h + 1 (replacing the cached entry), then h again
+    # gives what a fresh enumeration gives.
+    asked = [language_fingerprint(example_fta, h) for h in (2, 3, 2)]
+    fresh = []
+    for h in (2, 3):
+        core._enumerate.cache_clear()
+        fresh.append(language_fingerprint(example_fta, h))
+    assert asked == [fresh[0], fresh[1], fresh[0]]
+    assert len(fresh[0]) < len(fresh[1])
+
+
+def test_enumeration_guard_builds_and_caches_nothing(monkeypatch, ab_alphabet):
+    core._enumerate.cache_clear()
+    monkeypatch.setattr(core, "Tree", None)  # building a tree would raise
+    for height, error in ((6, ConfigError), (-1, InputError)):
+        with pytest.raises(error):
+            enumerate_trees(ab_alphabet, height)
+    assert core._enumerate.cache_info().currsize == 0
 
 
 def _random_fta(seed: int, n: int = 4, d2: float = 0.3) -> Fta:

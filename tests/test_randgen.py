@@ -245,18 +245,35 @@ def test_generate_trim_reproducible_across_batching(monkeypatch):
 
 def test_generate_trim_memory_stays_at_one_batch():
     # Point x = 34 of the n = 12 setting-A grid is sparse: trial 6 at seed 3
-    # is accepted at attempt 18,485, past hundreds of 35-row batches.  One
-    # reused 0.5 MB buffer keeps the peak near one batch however many are drawn.
+    # is accepted at attempt 18,485, past hundreds of 35-row batches.  The
+    # buffer grows to 0.5 MB once and is reused, so the peak stays near one
+    # batch however many are drawn; each smaller buffer is freed before the
+    # next is allocated (with both alive the peak reads ~0.94 MB, not ~0.61).
     config = GenConfig(n=12, alphabet=Setting.A.alphabet, d2=density_grid(12)[34].d2,
                        d0=0.5, max_attempts=100_000)
+    attempts, peak = _generate_trim_peak(config, 3, 6)
+    assert attempts == 18_485
+    assert peak < 800_000
+
+
+def test_generate_trim_buffer_holds_one_batch():
+    # A dense n = 2 draw is trim in its first 4-row batch, so the buffer
+    # needs 4 blocks, not the full 0.5 MB a batch may grow to.
+    attempts, peak = _generate_trim_peak(_config(n=2, d2=0.9, d0=0.9), 1, 0)
+    assert attempts <= 4
+    assert peak < 50_000
+
+
+def _generate_trim_peak(config, seed, trial):
+    """Attempts and tracemalloc peak of one generate_trim call.  An untraced
+    call first makes the imports a first call may trigger."""
+    generate_trim(config, seed, trial)
     tracemalloc.start()
     try:
-        _, attempts = generate_trim(config, 3, 6)
-        peak = tracemalloc.get_traced_memory()[1]
+        _, attempts = generate_trim(config, seed, trial)
+        return attempts, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert attempts == 18_485
-    assert peak < 4_000_000
 
 
 def _generate_trim_one_row_at_a_time(config, seed, trial):
