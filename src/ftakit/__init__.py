@@ -20,7 +20,6 @@ from .constructions import (
 from .core import (
     Fta,
     RankedAlphabet,
-    StateSet,
     Transition,
     Tree,
     accepts,
@@ -71,7 +70,7 @@ __all__ = [
     "BudgetError", "CanonicalFta", "ConfigError", "DensityPoint", "Dfta",
     "Error", "ExhaustionError", "FitError", "Fta", "GenConfig", "InputError",
     "ParseError", "PeakFit", "PointRecord", "RankedAlphabet", "Seed",
-    "Setting", "StateSet", "SweepResult", "Transition", "Tree", "accepts",
+    "Setting", "SweepResult", "Transition", "Tree", "accepts",
     "as_seed", "canonical_size", "coreachable", "densities_csv",
     "density_grid", "determinize", "enumerate_trees", "equivalence_failures",
     "evaluate", "fit_peak", "fit_records", "format_fta", "generate",

@@ -90,6 +90,23 @@ _seed_option = click.option("--seed", type=int, default=None,
                             help="Master seed (random if omitted; always echoed).")
 _workers_option = click.option("--workers", type=int, default=1, show_default=True,
                                help="Parallel workers.")
+_max_attempts_option = click.option("--max-attempts", type=int, default=10_000,
+                                    show_default=True)
+
+
+def _model_options(fn):
+    """Add the --n, --d2, --d0 and --final-prob options, listed in that order."""
+    fn = click.option("--final-prob", type=float, default=0.5, show_default=True,
+                      help="Probability that a state is final.")(fn)
+    fn = click.option("--d0", type=float, default=0.5, show_default=True,
+                      help="Nullary transition density.")(fn)
+    fn = click.option("--d2", type=float, required=True, help="Binary transition density.")(fn)
+    return click.option("--n", type=int, required=True, help="Number of states.")(fn)
+
+
+def _gen_config(setting: str, **fields) -> GenConfig:
+    """The ``GenConfig`` of the options of a generating command."""
+    return GenConfig(alphabet=Setting(setting).alphabet, **fields)
 
 
 @click.group()
@@ -99,25 +116,19 @@ def main():
 
 
 @main.command(name="generate")
-@click.option("--n", type=int, required=True, help="Number of states.")
-@click.option("--d2", type=float, required=True, help="Binary transition density.")
-@click.option("--d0", type=float, default=0.5, show_default=True,
-              help="Nullary transition density.")
-@click.option("--final-prob", type=float, default=0.5, show_default=True,
-              help="Probability that a state is final.")
+@_model_options
 @_setting_option
 @_seed_option
 @click.option("--trim/--no-trim", "want_trim", default=True, show_default=True,
               help="Regenerate until the automaton is trim.")
-@click.option("--max-attempts", type=int, default=10_000, show_default=True)
+@_max_attempts_option
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Output document (stdout if omitted).")
 @_guard
-def generate_cmd(n, d2, d0, final_prob, setting, seed, want_trim, max_attempts, out):
+def generate_cmd(seed, want_trim, out, **gen):
     """Draw a random automaton and write it as a document."""
     seed = _effective_seed(seed)
-    config = GenConfig(n=n, alphabet=Setting(setting).alphabet, d2=d2, d0=d0,
-                       final_prob=final_prob, max_attempts=max_attempts)
+    config = _gen_config(**gen)
     if want_trim:
         fta, attempts = generate_trim(config, seed, 0)
         click.echo(f"attempts {attempts}", err=True)
@@ -167,20 +178,15 @@ def minimize_cmd(in_path, out, max_subsets):
 
 
 @main.command(name="pipeline")
-@click.option("--n", type=int, required=True)
-@click.option("--d2", type=float, required=True)
-@click.option("--d0", type=float, default=0.5, show_default=True)
-@click.option("--final-prob", type=float, default=0.5, show_default=True)
+@_model_options
 @_setting_option
 @_seed_option
-@click.option("--max-attempts", type=int, default=10_000, show_default=True)
+@_max_attempts_option
 @_guard
-def pipeline_cmd(n, d2, d0, final_prob, setting, seed, max_attempts):
+def pipeline_cmd(seed, **gen):
     """Generate a trim automaton, determinize, minimize; print both sizes."""
     seed = _effective_seed(seed)
-    config = GenConfig(n=n, alphabet=Setting(setting).alphabet, d2=d2, d0=d0,
-                       final_prob=final_prob, max_attempts=max_attempts)
-    fta, attempts = generate_trim(config, seed, 0)
+    fta, attempts = generate_trim(_gen_config(**gen), seed, 0)
     click.echo(f"attempts {attempts}", err=True)
     dfta = determinize(fta)
     click.echo(f"det_size {dfta.size}")
@@ -272,3 +278,7 @@ def check_cmd(cases, height, seed):
             click.echo(f"FAIL {line}")
         sys.exit(EXIT_SELFCHECK)
     click.echo(f"ok: {cases} cases agree up to height {height}")
+
+
+if __name__ == "__main__":
+    main()

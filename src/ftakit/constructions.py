@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import Fta, RankedAlphabet, StateSet, Transition
+from .core import Fta, RankedAlphabet, Transition
 from .errors import BudgetError, InputError
 
 # Table entries one block of subset construction, refinement or quotienting
@@ -412,21 +412,21 @@ def _fixpoints(fta: Fta, what: str, from_: Iterable[int] | None = None):
         start.append(pos[q])
     reach, core = _source_fixpoints(len(states), null_tg, a1, a2, tg, start)
     ids = np.array(states, dtype=np.int64)
-    return StateSet.from_iter(ids[reach].tolist()), StateSet.from_iter(ids[core].tolist())
+    return frozenset(ids[reach].tolist()), frozenset(ids[core].tolist())
 
 
-def reachable(fta: Fta) -> StateSet:
+def reachable(fta: Fta) -> frozenset[int]:
     """States some ground tree can evaluate into (least fixpoint)."""
     return _fixpoints(fta, "reachable")[0]
 
 
-def coreachable(fta: Fta, from_: StateSet | Iterable[int] | None = None) -> StateSet:
+def coreachable(fta: Fta, from_: Iterable[int] | None = None) -> frozenset[int]:
     """States some context can carry into ``from_`` (default: the finals).
 
     A state joins the fixpoint when a rule mentions it in an argument
     position, the rule's target is already co-reachable, and every sibling
-    argument is reachable.  Every state in ``from_`` must be a state of
-    ``fta``.
+    argument is reachable.  ``from_`` is any iterable of state ids, each a
+    state of ``fta``; an unknown one raises ``InputError``.
     """
     return _fixpoints(fta, "coreachable", from_)[1]
 
@@ -434,7 +434,7 @@ def coreachable(fta: Fta, from_: StateSet | Iterable[int] | None = None) -> Stat
 def is_trim(fta: Fta) -> bool:
     """True iff every state is both reachable and co-reachable."""
     reach, core = _fixpoints(fta, "is_trim")
-    return reach == core == StateSet.from_iter(fta.states)
+    return reach == core == fta.states
 
 
 def trim(fta: Fta) -> Fta:
@@ -442,13 +442,11 @@ def trim(fta: Fta) -> Fta:
     reach, core = _fixpoints(fta, "trim")
     keep = reach & core
     return Fta(
-        states=frozenset(keep),
+        states=keep,
         alphabet=fta.alphabet,
-        finals=frozenset(q for q in fta.finals if q in keep),
-        transitions=frozenset(
-            t for t in fta.transitions
-            if t.target in keep and all(a in keep for a in t.args)
-        ),
+        finals=fta.finals & keep,
+        transitions=frozenset(t for t in fta.transitions
+                              if keep.issuperset((*t.args, t.target))),
     )
 
 

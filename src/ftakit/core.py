@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from .errors import ConfigError, InputError
 # refuses an enumeration whose tree count, worked out first, passes this bound.
 MAX_ENUM_TREES = 1 << 21
 
-# State identifiers index bit vectors, so absurdly large ids are rejected.
+# The library numbers states from 0 or 1 up to the state count, so an id
+# past this bound is taken for a malformed input (a typo in a file) and
+# rejected.
 MAX_STATE_ID = 1 << 20
 
 
@@ -118,60 +120,6 @@ class Transition(NamedTuple):
 
 
 @dataclass(frozen=True)
-class StateSet:
-    """A set of state identifiers backed by a bit vector (bit q = state q)."""
-
-    bits: int = 0
-
-    def __post_init__(self):
-        if self.bits < 0:
-            raise InputError("state sets cannot hold negative identifiers")
-
-    @classmethod
-    def of(cls, *states: int) -> "StateSet":
-        return cls.from_iter(states)
-
-    @classmethod
-    def from_iter(cls, states: Iterable[int]) -> "StateSet":
-        bits = 0
-        for q in states:
-            if q < 0 or q > MAX_STATE_ID:
-                raise InputError(f"state identifier {q} out of range")
-            bits |= 1 << q
-        return cls(bits)
-
-    def __contains__(self, q: int) -> bool:
-        return q >= 0 and (self.bits >> q) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        q = 0
-        while bits:
-            if bits & 1:
-                yield q
-            bits >>= 1
-            q += 1
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __or__(self, other: "StateSet") -> "StateSet":
-        return StateSet(self.bits | other.bits)
-
-    def __and__(self, other: "StateSet") -> "StateSet":
-        return StateSet(self.bits & other.bits)
-
-    def isdisjoint(self, other: "StateSet") -> bool:
-        return self.bits & other.bits == 0
-
-    def __repr__(self) -> str:
-        return "StateSet{" + ",".join(str(q) for q in self) + "}"
-
-
-@dataclass(frozen=True)
 class Fta:
     """A nondeterministic bottom-up tree automaton (states, alphabet, finals, rules).
 
@@ -210,35 +158,30 @@ class Fta:
     def n(self) -> int:
         return len(self.states)
 
-    def final_set(self) -> StateSet:
-        return StateSet.from_iter(self.finals)
 
-
-def sigma_bar(fta: Fta, symbol: str, args: Sequence[StateSet]) -> StateSet:
+def sigma_bar(fta: Fta, symbol: str, args: Sequence[Collection[int]]) -> frozenset[int]:
     """Lift the transition rules of ``symbol`` to sets of states.
 
-    Returns every state some rule can produce when each argument position is
-    filled with any member of the corresponding argument set.
+    Returns the frozenset of the targets of the rules that fire when each
+    argument position is filled with any member of its argument set.
     """
     rank = fta.alphabet.rank(symbol)
     if len(args) != rank:
         raise InputError(f"{symbol!r} has rank {rank}, got {len(args)} arguments")
-    bits = 0
-    for t in fta.transitions:
-        if t.symbol != symbol:
-            continue
-        if all(q in args[i] for i, q in enumerate(t.args)):
-            bits |= 1 << t.target
-    return StateSet(bits)
+    return frozenset(t.target for t in fta.transitions if t.symbol == symbol
+                     and all(q in args[i] for i, q in enumerate(t.args)))
 
 
-def evaluate(fta: Fta, tree: Tree) -> StateSet:
+def evaluate(fta: Fta, tree: Tree) -> frozenset[int]:
     """Run the automaton bottom-up and return the set of states the tree reaches.
 
-    Each node applies ``sigma_bar`` to its children's results.  Pure function
-    of its inputs.
+    Each node applies ``sigma_bar`` to its children's results; its children
+    must be a tuple, as ``Tree.of`` builds them.  Pure function of its inputs.
     """
     rank = fta.alphabet.rank(tree.label)
+    if type(tree.children) is not tuple:
+        raise InputError(f"node {tree.label!r} has {type(tree.children).__name__} children, "
+                         "not a tuple; build it with Tree.of")
     if len(tree.children) != rank:
         raise InputError(
             f"node {tree.label!r} has {len(tree.children)} children, rank is {rank}"
@@ -248,7 +191,7 @@ def evaluate(fta: Fta, tree: Tree) -> StateSet:
 
 def accepts(fta: Fta, tree: Tree) -> bool:
     """True when the tree's evaluation meets a final state."""
-    return not evaluate(fta, tree).isdisjoint(fta.final_set())
+    return not evaluate(fta, tree).isdisjoint(fta.finals)
 
 
 # Rows of one group evaluated together are capped so that each boolean

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ftakit import Fta, StateSet, sigma_bar
+from ftakit import Fta, sigma_bar
 
 
 @dataclass(frozen=True)
 class SubsetAutomaton:
-    subsets: frozenset[StateSet]
-    nullary: dict[str, StateSet]
-    binary: dict[tuple[str, StateSet, StateSet], StateSet]
-    finals: frozenset[StateSet]
+    subsets: frozenset[frozenset[int]]
+    nullary: dict[str, frozenset[int]]
+    binary: dict[tuple[str, frozenset[int], frozenset[int]], frozenset[int]]
+    finals: frozenset[frozenset[int]]
 
 
 def determinize_ref(fta: Fta) -> SubsetAutomaton:
@@ -32,10 +32,9 @@ def determinize_ref(fta: Fta) -> SubsetAutomaton:
         if grown == subsets:
             break
         subsets = grown
-    finals = StateSet.from_iter(fta.finals)
     return SubsetAutomaton(
         subsets=frozenset(subsets),
         nullary=nullary,
         binary=binary,
-        finals=frozenset(s for s in subsets if s & finals),
+        finals=frozenset(s for s in subsets if s & fta.finals),
     )

@@ -15,7 +15,6 @@ import pytest
 from ftakit import (
     GenConfig,
     Setting,
-    StateSet,
     as_seed,
     canonical_size,
     determinize,
@@ -160,8 +159,8 @@ def test_criterion_3_balance_identity_and_monte_carlo():
                    for a, b in into_one):
                 pair_hits += 1
             members = stream.random(2 * n) < 0.5
-            q1 = StateSet.from_iter(q + 1 for q in range(n) if members[q])
-            q2 = StateSet.from_iter(q + 1 for q in range(n) if members[n + q])
+            q1 = frozenset(q + 1 for q in range(n) if members[q])
+            q2 = frozenset(q + 1 for q in range(n) if members[n + q])
             if 1 in sigma_bar(fta, "sigma", (q1, q2)):
                 subset_hits += 1
             if any(t.target == 1 for t in fta.transitions if not t.args):

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
+import ftakit
 from ftakit import is_trim, parse_fta
 from ftakit.cli import main
 
@@ -23,6 +29,17 @@ def test_peak_density_prints_table_value(runner):
     assert result.exit_code == 0
     assert result.output.strip() == "0.0431"
     assert _invoke(runner, "peak-density", "--n", "2").output.strip() == "0.6364"
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(ftakit.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "ftakit.cli", "peak-density", "--n", "8"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0.0431"
 
 
 def test_peak_density_rejects_n1(runner):

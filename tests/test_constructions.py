@@ -14,7 +14,6 @@ from ftakit import (
     InputError,
     RankedAlphabet,
     Setting,
-    StateSet,
     Transition,
     as_seed,
     canonical_size,
@@ -130,8 +129,9 @@ def test_determinize_rejects_general_ranks():
 
 
 def test_coreachable_rejects_unknown_start_state(example_fta):
-    with pytest.raises(InputError):
-        coreachable(example_fta, StateSet.of(1, 9))
+    for start in (frozenset({1, 9}), [1, 9]):
+        with pytest.raises(InputError):
+            coreachable(example_fta, start)
 
 
 @st.composite
@@ -154,9 +154,11 @@ def _binary_ftas(draw):
 @given(_binary_ftas())
 def test_trimness_matches_reference(case):
     fta, from_ = case
-    assert reachable(fta) == reachable_ref(fta)
-    assert coreachable(fta) == coreachable_ref(fta)
-    assert coreachable(fta, from_) == coreachable_ref(fta, from_)
+    reach, core, core_from = reachable(fta), coreachable(fta), coreachable(fta, from_)
+    assert all(type(s) is frozenset for s in (reach, core, core_from))
+    assert reach == reachable_ref(fta)
+    assert core == coreachable_ref(fta)
+    assert core_from == coreachable_ref(fta, from_)
     assert is_trim(fta) == is_trim_ref(fta)
     assert trim(fta) == trim_ref(fta)
 
@@ -191,7 +193,7 @@ def _wide_ftas(draw):
 def _check_against_reference(fta):
     dfta = determinize(fta)
     ref = determinize_ref(fta)
-    members = [StateSet.from_iter(dfta.subset_members(i)) for i in range(dfta.n_states)]
+    members = [frozenset(dfta.subset_members(i)) for i in range(dfta.n_states)]
     assert len(set(members)) == len(members)
     assert set(members) == ref.subsets
     assert {a: members[i] for a, i in dfta.nullary.items()} == ref.nullary
@@ -201,8 +203,8 @@ def _check_against_reference(fta):
             for j, q in enumerate(members):
                 assert members[table[i, j]] == ref.binary[sym, p, q]
     assert {members[f] for f in dfta.finals} == ref.finals
-    if StateSet() in ref.subsets:
-        assert members[dfta.sink] == StateSet()
+    if frozenset() in ref.subsets:
+        assert members[dfta.sink] == frozenset()
     else:
         assert dfta.sink is None
 
@@ -539,25 +541,26 @@ def test_minimize_identity_and_general_quotient(setting, n, seed, n_canonical):
 
 
 def test_reachable(example_fta, ab_alphabet):
-    assert reachable(example_fta) == StateSet.of(0, 1, 2, 3)
+    assert reachable(example_fta) == frozenset({0, 1, 2, 3})
     no_base = _fta(ab_alphabet, {1}, {1}, [("sigma", (1, 1), 1)])
-    assert reachable(no_base) == StateSet()
+    assert reachable(no_base) == frozenset()
     isolated = _fta(ab_alphabet, {1, 2}, {1}, [("alpha", (), 1)])
-    assert reachable(isolated) == StateSet.of(1)
+    assert reachable(isolated) == frozenset({1})
 
 
 def test_coreachable(example_fta, ab_alphabet):
-    assert coreachable(example_fta) == StateSet.of(0, 1, 2, 3)
+    assert coreachable(example_fta) == frozenset({0, 1, 2, 3})
     hollow = _fta(ab_alphabet, {1, 2}, set(), [("alpha", (), 1)])
-    assert coreachable(hollow) == StateSet()
+    assert coreachable(hollow) == frozenset()
     # state 2 occurs in no rule's argument list, so no context reaches it
     partial = _fta(ab_alphabet, {1, 2, 3}, {3},
                    [("alpha", (), 1), ("alpha", (), 2), ("sigma", (1, 1), 3)])
-    assert coreachable(partial) == StateSet.of(1, 3)
+    assert coreachable(partial) == frozenset({1, 3})
 
 
 def test_coreachable_explicit_start(example_fta):
-    assert coreachable(example_fta, StateSet.of(1)) == StateSet.of(0, 1)
+    for start in (frozenset({1}), [1], iter((1, 1))):
+        assert coreachable(example_fta, start) == frozenset({0, 1})
 
 
 def test_coreachable_sibling_must_be_reachable(ab_alphabet):
@@ -565,7 +568,7 @@ def test_coreachable_sibling_must_be_reachable(ab_alphabet):
     # does witness 2, whose sibling 1 is reachable.
     m = _fta(ab_alphabet, {1, 2, 3}, {3},
              [("alpha", (), 1), ("sigma", (1, 2), 3)])
-    assert coreachable(m) == StateSet.of(2, 3)
+    assert coreachable(m) == frozenset({2, 3})
 
 
 def test_is_trim(example_fta, ab_alphabet):

@@ -14,7 +14,6 @@ from ftakit import (
     InputError,
     RankedAlphabet,
     Setting,
-    StateSet,
     Transition,
     Tree,
     accepts,
@@ -75,25 +74,15 @@ def test_fta_wraps_plain_tuples_as_transitions(ab_alphabet, example_fta):
                 finals=example_fta.finals, transitions=[bad])
 
 
-def test_stateset_operations():
-    s = StateSet.of(0, 2, 5)
-    assert 2 in s and 1 not in s
-    assert list(s) == [0, 2, 5]
-    assert len(s) == 3
-    assert (s | StateSet.of(1)) == StateSet.of(0, 1, 2, 5)
-    assert (s & StateSet.of(2, 3)) == StateSet.of(2)
-    assert s.isdisjoint(StateSet.of(1, 3))
-    assert not StateSet()
-
-
 def test_evaluate_example(example_fta):
-    assert evaluate(example_fta, A) == StateSet.of(0, 2)
-    assert evaluate(example_fta, SAA) == StateSet.of(1)
+    for tree, expected in [(A, {0, 2}), (SAA, {1})]:
+        result = evaluate(example_fta, tree)
+        assert type(result) is frozenset and result == expected
 
 
 def test_evaluate_empty_transitions(ab_alphabet):
     empty = Fta(frozenset({1}), ab_alphabet, frozenset(), frozenset())
-    assert evaluate(empty, A) == StateSet()
+    assert evaluate(empty, A) == frozenset()
 
 
 def test_evaluate_rejects_unknown_symbol(example_fta):
@@ -102,10 +91,16 @@ def test_evaluate_rejects_unknown_symbol(example_fta):
 
 
 def test_evaluate_rejects_wrong_child_count(example_fta):
-    for bad in [Tree.of("sigma", A), Tree.of("alpha", A), Tree.of("sigma", A, Tree.of("sigma", A))]:
-        with pytest.raises(InputError, match="children, rank is"):
+    count, not_tuple = "children, rank is", r"list children, not a tuple; build it with Tree\.of"
+    # A list of children cannot be hashed and never equals the Tree.of tree.
+    for bad, message in [
+        (Tree.of("sigma", A), count), (Tree.of("alpha", A), count),
+        (Tree.of("sigma", A, Tree.of("sigma", A)), count),
+        (Tree("sigma", [A, A]), not_tuple), (Tree.of("sigma", A, Tree("sigma", [A, A])), not_tuple),
+    ]:
+        with pytest.raises(InputError, match=message):
             evaluate(example_fta, bad)
-        with pytest.raises(InputError, match="children, rank is"):
+        with pytest.raises(InputError, match=message):
             accepts(example_fta, bad)
 
 
@@ -122,14 +117,15 @@ def test_accepts_no_finals(ab_alphabet, example_fta):
 
 
 def test_sigma_bar_examples(example_fta):
-    assert sigma_bar(example_fta, "sigma", (StateSet.of(0, 2), StateSet.of(0, 2))) == StateSet.of(1)
-    assert sigma_bar(example_fta, "sigma", (StateSet.of(1), StateSet.of(0, 2))) == StateSet.of(1, 3)
-    assert sigma_bar(example_fta, "sigma", (StateSet(), StateSet.of(0, 2))) == StateSet()
+    for args, expected in [(({0, 2}, {0, 2}), {1}), (({1}, {0, 2}), {1, 3}),
+                           ((set(), {0, 2}), set())]:
+        result = sigma_bar(example_fta, "sigma", args)
+        assert type(result) is frozenset and result == expected
 
 
 def test_sigma_bar_arity_error(example_fta):
     with pytest.raises(InputError):
-        sigma_bar(example_fta, "sigma", (StateSet.of(1),))
+        sigma_bar(example_fta, "sigma", ({1},))
     with pytest.raises(InputError):
         sigma_bar(example_fta, "gamma", ())
 
@@ -381,9 +377,7 @@ def test_sigma_bar_monotone():
     fta = _random_fta(23)
     universe = sorted(fta.states)
     for _ in range(50):
-        pick = lambda: StateSet.from_iter(
-            q for q in universe if rng.random() < 0.5
-        )
+        pick = lambda: frozenset(q for q in universe if rng.random() < 0.5)
         q1, q2 = pick(), pick()
         q1_big = q1 | pick()
         q2_big = q2 | pick()

@@ -10,7 +10,6 @@ from ftakit import (
     GenConfig,
     InputError,
     Setting,
-    StateSet,
     as_seed,
     density_grid,
     generate,
@@ -122,8 +121,8 @@ def test_pi2_monte_carlo_uniform_subsets():
         stream = seed.stream(i)
         fta = generate(config, stream)
         members = stream.random(2 * n) < 0.5
-        q1 = StateSet.from_iter(q + 1 for q in range(n) if members[q])
-        q2 = StateSet.from_iter(q + 1 for q in range(n) if members[n + q])
+        q1 = frozenset(q + 1 for q in range(n) if members[q])
+        q2 = frozenset(q + 1 for q in range(n) if members[n + q])
         if 1 in sigma_bar(fta, "sigma", (q1, q2)):
             hits += 1
     exact = exact_uniform_subset_pi2(d2, n)

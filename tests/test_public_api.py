@@ -6,7 +6,7 @@ import ftakit
 
 PUBLIC_NAMES = {
     # core
-    "Fta", "RankedAlphabet", "StateSet", "Transition", "Tree", "accepts",
+    "Fta", "RankedAlphabet", "Transition", "Tree", "accepts",
     "enumerate_trees", "evaluate", "language_fingerprint", "sigma_bar",
     # constructions
     "CanonicalFta", "Dfta", "canonical_size", "coreachable", "determinize",
@@ -28,7 +28,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_the_pinned_set():
-    assert len(ftakit.__all__) == len(set(ftakit.__all__))
+    assert len(ftakit.__all__) == len(set(ftakit.__all__)) == 52
     assert set(ftakit.__all__) == PUBLIC_NAMES
 
 
@@ -39,8 +39,10 @@ def test_every_public_name_resolves():
 
 def test_retired_names_are_gone():
     for name in ("compare_settings", "SettingsReport", "TrimEstimate", "isomorphic",
-                 "is_deterministic"):
+                 "is_deterministic", "StateSet"):
         assert not hasattr(ftakit, name), name
+    assert not hasattr(ftakit.core, "StateSet")
+    assert not hasattr(ftakit.Fta, "final_set")
 
 
 def test_tree_is_a_ground_term():

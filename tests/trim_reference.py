@@ -10,10 +10,10 @@ two.
 
 from __future__ import annotations
 
-from ftakit import Fta, StateSet
+from ftakit import Fta
 
 
-def reachable_ref(fta: Fta) -> StateSet:
+def reachable_ref(fta: Fta) -> frozenset[int]:
     reach: set[int] = set()
     changed = True
     while changed:
@@ -22,10 +22,10 @@ def reachable_ref(fta: Fta) -> StateSet:
             if t.target not in reach and all(a in reach for a in t.args):
                 reach.add(t.target)
                 changed = True
-    return StateSet.from_iter(reach)
+    return frozenset(reach)
 
 
-def coreachable_ref(fta: Fta, from_=None) -> StateSet:
+def coreachable_ref(fta: Fta, from_=None) -> frozenset[int]:
     reach = reachable_ref(fta)
     core: set[int] = set(fta.finals if from_ is None else from_)
     changed = True
@@ -40,18 +40,17 @@ def coreachable_ref(fta: Fta, from_=None) -> StateSet:
                 if all(s in reach for j, s in enumerate(t.args) if j != i):
                     core.add(q)
                     changed = True
-    return StateSet.from_iter(core)
+    return frozenset(core)
 
 
 def is_trim_ref(fta: Fta) -> bool:
-    everything = StateSet.from_iter(fta.states)
-    return reachable_ref(fta) == everything and coreachable_ref(fta) == everything
+    return reachable_ref(fta) == fta.states and coreachable_ref(fta) == fta.states
 
 
 def trim_ref(fta: Fta) -> Fta:
-    keep = set(reachable_ref(fta) & coreachable_ref(fta))
+    keep = reachable_ref(fta) & coreachable_ref(fta)
     return Fta(
-        states=frozenset(keep),
+        states=keep,
         alphabet=fta.alphabet,
         finals=frozenset(q for q in fta.finals if q in keep),
         transitions=frozenset(
