@@ -10,7 +10,7 @@ it.  Reported sizes always exclude that sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class Dfta:
     ``source_states[k]``), listed in discovery order.  ``binary[sym][i, j]``
     is the successor index for symbol ``sym`` applied to subsets i and j; the
     table is total over the discovered subsets, so determinism holds by
-    construction.
+    construction, and read-only, so ``minimize`` may share it.
 
     ``dead`` holds the subsets that no context carries into acceptance.  A
     context run on a subset gives the union of the source's runs from each
@@ -124,11 +124,6 @@ def _table_to_fta(alphabet, n_states, nullary, binary, finals) -> Fta:
     )
 
 
-def _require_binary_alphabet(fta: Fta, what: str) -> None:
-    if not fta.alphabet.is_binary:
-        raise InputError(f"{what} supports ranks 0 and 2 only")
-
-
 def _dense_ranks(*keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense ranks of the tuples that equal-length key columns spell, in
     lexicographic order with ``keys[0]`` the most significant: equal tuples
@@ -150,7 +145,8 @@ def _rules(fta: Fta, what: str):
     """The sorted states, each state's position among them, and the nullary
     rules (symbol, target) and binary rules (symbol, left, right, target) as
     transposed arrays of positions, symbols numbered in alphabet order."""
-    _require_binary_alphabet(fta, what)
+    if not fta.alphabet.is_binary:
+        raise InputError(f"{what} supports ranks 0 and 2 only")
     states = tuple(sorted(fta.states))
     pos = {q: k for k, q in enumerate(states)}
     nullary_syms, binary_syms = fta.alphabet.nullary, fta.alphabet.binary
@@ -341,10 +337,12 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
                 raise BudgetError(f"subset construction exceeded {max_subsets} states "
                                   f"(source n={n})")
             a = b
+    for table in tables:
+        table.flags.writeable = False
 
     masks = tuple(int.from_bytes(key, "big") for key in index)
     fmask = sum(1 << pos[q] for q in fta.finals)
-    _, core = _source_fixpoints(n, null_tg, a1, a2, tg, [pos[q] for q in fta.finals])
+    _, core = _trim_fixpoints(n, null_tg, a1, a2, tg, [pos[q] for q in fta.finals])
     live = sum(1 << k for k in np.flatnonzero(core).tolist())
     return Dfta(
         source_states=src,
@@ -358,59 +356,38 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     )
 
 
-def reachable_mask(start: np.ndarray, a1: np.ndarray, a2: np.ndarray,
-                   tg: np.ndarray) -> np.ndarray:
-    """Least fixpoint of accessibility over state indices.
+def _trim_fixpoints(n: int, null_tg: np.ndarray, a1: np.ndarray, a2: np.ndarray,
+                    tg: np.ndarray, finals) -> tuple[np.ndarray, np.ndarray]:
+    """Reachable and co-reachable masks over n state positions, from a rule
+    list as ``_rules`` gives it: nullary targets ``null_tg``, binary rule k
+    reading ``a1[k], a2[k] -> tg[k]``, and the positions of the finals.
 
-    ``start`` marks the targets of nullary rules and binary rule k reads
-    ``a1[k], a2[k] -> tg[k]``.  Neither fixpoint modifies its arguments.
+    An argument of a rule is co-reachable when the rule's target is and the
+    sibling argument is reachable (a context can only be filled with trees
+    that actually evaluate somewhere).
     """
-    reach = start.copy()
+    reach = np.zeros(n, dtype=bool)
+    reach[null_tg] = True
     while True:
         fired = tg[reach[a1] & reach[a2]]
         if reach[fired].all():
-            return reach
+            break
         reach[fired] = True
-
-
-def coreachable_mask(start: np.ndarray, reach: np.ndarray, a1: np.ndarray,
-                     a2: np.ndarray, tg: np.ndarray) -> np.ndarray:
-    """Least fixpoint of co-accessibility from ``start``, over state indices.
-
-    An argument of a rule joins when the rule's target has joined and the
-    sibling argument is in ``reach`` (a context can only be filled with
-    trees that actually evaluate somewhere).
-    """
-    core = start.copy()
+    core = np.zeros(n, dtype=bool)
+    core[finals] = True
     while True:
         useful = core[tg]
         added = np.concatenate((a1[useful & reach[a2]], a2[useful & reach[a1]]))
         if core[added].all():
-            return core
+            return reach, core
         core[added] = True
 
 
-def _source_fixpoints(n: int, null_tg: np.ndarray, a1: np.ndarray, a2: np.ndarray,
-                      tg: np.ndarray, start) -> tuple[np.ndarray, np.ndarray]:
-    """Reachable positions, and positions co-reachable from ``start``, of a
-    rule list over n state positions (as ``_rules`` gives them)."""
-    nullary = np.zeros(n, dtype=bool)
-    nullary[null_tg] = True
-    marked = np.zeros(n, dtype=bool)
-    marked[start] = True
-    reach = reachable_mask(nullary, a1, a2, tg)
-    return reach, coreachable_mask(marked, reach, a1, a2, tg)
-
-
-def _fixpoints(fta: Fta, what: str, from_: Iterable[int] | None = None):
-    """Reachable states, and states co-reachable from ``from_`` (default: the finals)."""
+def _fixpoints(fta: Fta, what: str):
+    """Reachable states, and states co-reachable from the finals."""
     states, pos, (_, null_tg), (_, a1, a2, tg) = _rules(fta, what)
-    start = []
-    for q in fta.finals if from_ is None else from_:
-        if q not in pos:
-            raise InputError(f"{what}: {q} is not a state of the automaton")
-        start.append(pos[q])
-    reach, core = _source_fixpoints(len(states), null_tg, a1, a2, tg, start)
+    finals = [pos[q] for q in fta.finals]
+    reach, core = _trim_fixpoints(len(states), null_tg, a1, a2, tg, finals)
     ids = np.array(states, dtype=np.int64)
     return frozenset(ids[reach].tolist()), frozenset(ids[core].tolist())
 
@@ -420,15 +397,14 @@ def reachable(fta: Fta) -> frozenset[int]:
     return _fixpoints(fta, "reachable")[0]
 
 
-def coreachable(fta: Fta, from_: Iterable[int] | None = None) -> frozenset[int]:
-    """States some context can carry into ``from_`` (default: the finals).
+def coreachable(fta: Fta) -> frozenset[int]:
+    """States some context can carry into a final state.
 
     A state joins the fixpoint when a rule mentions it in an argument
     position, the rule's target is already co-reachable, and every sibling
-    argument is reachable.  ``from_`` is any iterable of state ids, each a
-    state of ``fta``; an unknown one raises ``InputError``.
+    argument is reachable.
     """
-    return _fixpoints(fta, "coreachable", from_)[1]
+    return _fixpoints(fta, "coreachable")[1]
 
 
 def is_trim(fta: Fta) -> bool:
@@ -529,7 +505,7 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     coarsest one.  A hash collision leaves a member that disagrees; its
     block splits off the members that disagree, and the passes go on.  A
     partition into singletons needs no check.  When nothing merges, the
-    quotient is the input, and its tables are copies.
+    quotient is the input, and shares its read-only tables.
 
     Refinement and the quotient read the tables in blocks of rows, so they
     hold no array of |states|**2 entries besides the input and output tables.
@@ -577,12 +553,13 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     for sym, table in zip(binary_syms, succ_tables):
         if n_min == n_states:
             # blk and reps are the identity.
-            binary[sym] = table.astype(np.int32)
+            binary[sym] = table
             continue
         out = np.empty((n_min, n_min), dtype=np.int32)
         for a in range(0, n_min, step):
             np.take(blk, np.take(table[reps[a : a + step]], reps, axis=1),
                     out=out[a : a + step])
+        out.flags.writeable = False
         binary[sym] = out
     finals = frozenset(int(blk[f]) for f in dfta.finals)
     # Dead states all have the empty residual language, so a congruence

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class RankedAlphabet:
     def of(cls, **ranks: int) -> "RankedAlphabet":
         """Build an alphabet from keyword arguments, e.g. ``of(alpha=0, sigma=2)``."""
         return cls(frozenset(ranks.items()))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "RankedAlphabet":
-        return cls(frozenset(pairs))
 
     def rank(self, name: str) -> int:
         try:
@@ -175,9 +171,13 @@ def sigma_bar(fta: Fta, symbol: str, args: Sequence[Collection[int]]) -> frozens
 def evaluate(fta: Fta, tree: Tree) -> frozenset[int]:
     """Run the automaton bottom-up and return the set of states the tree reaches.
 
-    Each node applies ``sigma_bar`` to its children's results; its children
-    must be a tuple, as ``Tree.of`` builds them.  Pure function of its inputs.
+    Each node applies ``sigma_bar`` to its children's results; every node
+    must be a ``Tree`` and its children a tuple, as ``Tree.of`` builds them.
+    Pure function of its inputs.
     """
+    if type(tree) is not Tree:
+        raise InputError(f"node {tree!r} is a {type(tree).__name__}, not a Tree; "
+                         "build it with Tree.of")
     rank = fta.alphabet.rank(tree.label)
     if type(tree.children) is not tuple:
         raise InputError(f"node {tree.label!r} has {type(tree.children).__name__} children, "

@@ -276,9 +276,17 @@ def run_sweep(
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _csv(header: str, rows: Iterable[Sequence]) -> str:
+    """Locale-independent CSV: the header, then one line of cells per row."""
+    lines = [header, *(",".join(map(_fmt, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 SWEEP_CSV_HEADER = "setting,n,x,d2,trials,trim_attempts,mean_det_size,mean_canonical_size"
@@ -286,19 +294,10 @@ SWEEP_CSV_HEADER = "setting,n,x,d2,trials,trim_attempts,mean_det_size,mean_canon
 
 def sweep_csv(records: Iterable[PointRecord]) -> str:
     """Locale-independent CSV with one row per grid point."""
-    lines = [SWEEP_CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            r.setting,
-            str(r.n),
-            _fmt(r.x),
-            _fmt(r.d2),
-            str(r.trials_completed),
-            str(r.trim_attempts),
-            _fmt(r.mean_det_size),
-            _fmt(r.mean_canonical_size),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv(SWEEP_CSV_HEADER, (
+        (r.setting, r.n, r.x, r.d2, r.trials_completed, r.trim_attempts,
+         r.mean_det_size, r.mean_canonical_size)
+        for r in records))
 
 
 @dataclass(frozen=True)
@@ -343,13 +342,8 @@ DENSITIES_CSV_HEADER = "n,expected_d2,observed_d2,ci_lo,ci_hi,contains"
 
 
 def densities_csv(rows: Iterable[DensityRow]) -> str:
-    lines = [DENSITIES_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r.n), _fmt(r.expected), _fmt(r.observed),
-            _fmt(r.lo), _fmt(r.hi), str(r.contains).lower(),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv(DENSITIES_CSV_HEADER, (
+        (r.n, r.expected, r.observed, r.lo, r.hi, r.contains) for r in rows))
 
 
 def _trim_cell(setting: Setting, n: int, d2: float, trials: int, seed: Seed) -> TrimCell:
@@ -388,13 +382,8 @@ TRIM_CSV_HEADER = "d2,n,trials,trim,ratio,ci_half_width"
 
 
 def trim_csv(cells: Iterable[TrimCell]) -> str:
-    lines = [TRIM_CSV_HEADER]
-    for c in cells:
-        lines.append(",".join([
-            _fmt(c.d2), str(c.n), str(c.trials), str(c.hits),
-            _fmt(c.ratio), _fmt(c.half_width),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv(TRIM_CSV_HEADER, (
+        (c.d2, c.n, c.trials, c.hits, c.ratio, c.half_width) for c in cells))
 
 
 def equivalence_failures(

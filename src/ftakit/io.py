@@ -87,7 +87,7 @@ def parse_fta(text: str) -> Fta:
             )
         pairs.append((m.group("name"), int(m.group("rank"))))
     try:
-        alphabet = RankedAlphabet.from_pairs(pairs)
+        alphabet = RankedAlphabet(frozenset(pairs))
     except Exception as err:
         raise ParseError(str(err), lineno) from None
 

@@ -33,7 +33,7 @@ SAA = Tree.of("sigma", A, A)
 
 def test_alphabet_rejects_duplicates_and_missing_nullary():
     with pytest.raises(InputError):
-        RankedAlphabet.from_pairs([("f", 1), ("f", 2), ("a", 0)])
+        RankedAlphabet(frozenset([("f", 1), ("f", 2), ("a", 0)]))
     with pytest.raises(InputError):
         RankedAlphabet.of(sigma=2)
 
@@ -92,11 +92,15 @@ def test_evaluate_rejects_unknown_symbol(example_fta):
 
 def test_evaluate_rejects_wrong_child_count(example_fta):
     count, not_tuple = "children, rank is", r"list children, not a tuple; build it with Tree\.of"
-    # A list of children cannot be hashed and never equals the Tree.of tree.
+    not_tree = r"is a (str|tuple), not a Tree; build it with Tree\.of"
+    # A list of children cannot be hashed and never equals the Tree.of tree;
+    # a node that is a label or a plain tuple is not a Tree at all.
     for bad, message in [
         (Tree.of("sigma", A), count), (Tree.of("alpha", A), count),
         (Tree.of("sigma", A, Tree.of("sigma", A)), count),
         (Tree("sigma", [A, A]), not_tuple), (Tree.of("sigma", A, Tree("sigma", [A, A])), not_tuple),
+        (Tree.of("sigma", "alpha", "alpha"), not_tree), (("alpha", ()), not_tree),
+        (Tree.of("sigma", A, ("alpha", ())), not_tree),
     ]:
         with pytest.raises(InputError, match=message):
             evaluate(example_fta, bad)

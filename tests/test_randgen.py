@@ -25,7 +25,6 @@ from ftakit import (
     trim_ratio,
 )
 from ftakit import randgen
-from ftakit.constructions import coreachable_mask, reachable_mask
 from ftakit.density import density_grid
 from ftakit.randgen import (
     _entropy_words,
@@ -37,7 +36,7 @@ from ftakit.randgen import (
     _trim_rows,
     float_key,
 )
-from trim_reference import is_trim_ref
+from trim_reference import coreachable_ref, is_trim_ref, reachable_ref
 
 
 def _config(**kw) -> GenConfig:
@@ -358,7 +357,7 @@ def test_trim_rows_match_reference(setting, n, rows, d2, d0, final_prob, seed):
     # The batched filter keeps exactly the rows whose automata the reference
     # calls trim.  The dense kernel runs once, on the rows that meet the
     # necessary conditions, and its reach and co-reach masks for each of them,
-    # trim or not, are the rule-list fixpoints run on that row's own rules.
+    # trim or not, are the reference fixpoints run on that row's own rules.
     config = GenConfig(n=n, alphabet=setting.alphabet, d2=d2, d0=d0,
                        final_prob=final_prob)
     u = as_seed(seed).stream().random((rows, config.block_size))
@@ -378,16 +377,10 @@ def test_trim_rows_match_reference(setting, n, rows, d2, d0, final_prob, seed):
     reach, core = seen[0] if seen else (np.zeros((0, n), dtype=bool),) * 2
     assert reach.shape == core.shape == (len(candidates), n)
     for fta, got_reach, got_core in zip(candidates, reach, core):
-        start, finals = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        start[[t.target - 1 for t in fta.transitions if not t.args]] = True
-        finals[[q - 1 for q in fta.finals]] = True
-        a1, a2, tg = np.array([(t.args[0] - 1, t.args[1] - 1, t.target - 1)
-                               for t in fta.transitions if t.args],
-                              dtype=np.intp).reshape(-1, 3).T
-        want_reach = reachable_mask(start, a1, a2, tg)
-        want_core = coreachable_mask(finals, want_reach, a1, a2, tg)
-        assert got_reach.tolist() == want_reach.tolist()
-        assert got_core.tolist() == want_core.tolist()
+        # Column k of a row stands for state k + 1.
+        want_reach, want_core = reachable_ref(fta), coreachable_ref(fta)
+        assert got_reach.tolist() == [q in want_reach for q in range(1, n + 1)]
+        assert got_core.tolist() == [q in want_core for q in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("d2", [1.0, 0.5])

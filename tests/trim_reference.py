@@ -25,9 +25,9 @@ def reachable_ref(fta: Fta) -> frozenset[int]:
     return frozenset(reach)
 
 
-def coreachable_ref(fta: Fta, from_=None) -> frozenset[int]:
+def coreachable_ref(fta: Fta) -> frozenset[int]:
     reach = reachable_ref(fta)
-    core: set[int] = set(fta.finals if from_ is None else from_)
+    core: set[int] = set(fta.finals)
     changed = True
     while changed:
         changed = False
