@@ -529,6 +529,16 @@ def test_minimize_identity_and_general_quotient(setting, n, seed, n_canonical):
         assert canonical.binary[sym] is table
 
 
+def test_determinize_tables_are_read_only(example_fta):
+    # minimize may hand these same arrays back, so no caller can write into
+    # an automaton it shares.
+    dfta = determinize(example_fta)
+    for table in dfta.binary.values():
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = dfta.sink
+
+
 def test_reachable(example_fta, ab_alphabet):
     assert reachable(example_fta) == frozenset({0, 1, 2, 3})
     no_base = _fta(ab_alphabet, {1}, {1}, [("sigma", (1, 1), 1)])
@@ -553,6 +563,21 @@ def test_coreachable_sibling_must_be_reachable(ab_alphabet):
     m = _fta(ab_alphabet, {1, 2, 3}, {3},
              [("alpha", (), 1), ("sigma", (1, 2), 3)])
     assert coreachable(m) == frozenset({2, 3})
+
+
+def test_trim_fixpoints_on_rule_arrays():
+    # Positions 0..3: alpha -> 0, sigma(0, 0) -> 1, sigma(1, 2) -> 3, final 3.
+    # Position 2 is unreachable, so sigma(1, 2) witnesses 2 but not 1.
+    null_tg = np.array([0], dtype=np.intp)
+    a1, a2, tg = (np.array(col, dtype=np.intp) for col in ((0, 1), (0, 2), (1, 3)))
+    reach, core = constructions._trim_fixpoints(4, null_tg, a1, a2, tg, [3])
+    assert reach.tolist() == [True, True, False, False]
+    assert core.tolist() == [False, False, True, True]
+    # With no binary rules the fixpoints are the nullary targets and the finals.
+    empty = np.zeros(0, dtype=np.intp)
+    reach, core = constructions._trim_fixpoints(3, null_tg, empty, empty, empty, [2])
+    assert reach.tolist() == [True, False, False]
+    assert core.tolist() == [False, False, True]
 
 
 def test_is_trim(example_fta, ab_alphabet):
