@@ -179,6 +179,11 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     past that, a hit must also equal the slot's subset word for word.  Only
     the rows that miss are sorted, looked up by key and numbered.
 
+    Interning never reads the tables, so each block keeps its ids as one
+    strip per binary symbol until no new subset appears; then each table
+    is allocated once, at its final size, and filled from its symbol's
+    strips, which are freed as they are written.
+
     A subset is dead exactly when it holds no source state co-reachable
     from the finals (see ``Dfta``), which two fixpoints on n states find.
 
@@ -289,18 +294,13 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
 
     # The nullary images come first, in symbol order.
     nullary_ids = dict(zip(nullary_syms, intern(null_imgs, lambda at: at).tolist()))
-    tables = [np.empty((0, 0), dtype=np.int32) for _ in binary_syms]
+    # strips[k] holds symbol k's ids of each block [a, b), shape (b - a, 2, b).
+    strips: list[list[np.ndarray]] = [[] for _ in binary_syms]
     a = 0
     while binary_syms and a < len(index):
         # Steps below hi pair only subsets below hi, which all exist already,
         # so they run before any of their images is interned.
         hi = len(index)
-        # The tables grow to exactly hi x hi, with one copy per round: large
-        # fresh arrays go back to the system when freed, where tables grown
-        # in place by realloc stayed on the heap and raised peak memory.
-        for k, table in enumerate(tables):
-            tables[k] = np.empty((hi, hi), dtype=np.int32)
-            tables[k][:a, :a] = table
         while a < hi:
             b = min(hi, a + max(1, _BLOCK_ENTRIES // (2 * n_syms * hi)))
             # images[i, s, 0, q] is the image of s(S, q) for the block's
@@ -329,16 +329,25 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
                 return np.maximum(a + i, j) * n_syms + sym
 
             ids = intern(pair, step_of)
-            for k, table in enumerate(tables):
-                table[a:b, :b] = ids[:, k, 0]
-                table[:b, a:b] = ids[:, k, 1].T
+            for k, kept in enumerate(strips):
+                kept.append(ids[:, k].copy())
+            # The next block's temporaries then reuse this block's memory.
+            del images, look, parts, pair, ids
             # The count only grows, so one check per block is enough.
             if max_subsets is not None and len(index) > max_subsets:
                 raise BudgetError(f"subset construction exceeded {max_subsets} states "
                                   f"(source n={n})")
             a = b
-    for table in tables:
+    tables = []
+    for kept in strips:
+        table = np.empty((len(index), len(index)), dtype=np.int32)
+        while kept:
+            strip = kept.pop()
+            a, b = strip.shape[2] - len(strip), strip.shape[2]
+            table[a:b, :b] = strip[:, 0]
+            table[:b, a:b] = strip[:, 1].T
         table.flags.writeable = False
+        tables.append(table)
 
     masks = tuple(int.from_bytes(key, "big") for key in index)
     fmask = sum(1 << pos[q] for q in fta.finals)
@@ -426,10 +435,21 @@ def trim(fta: Fta) -> Fta:
     )
 
 
+_weights = np.empty((2, 0), dtype=np.uint64)
+
+
 def _refinement_weights(size: int) -> tuple[np.ndarray, np.ndarray]:
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0xF1A75EED)))
-    w = gen.integers(1, 1 << 63, size=2 * size, dtype=np.uint64) | np.uint64(1)
-    return w[:size], w[size:]
+    """Row and column weights of ``minimize``'s profile hash: read-only
+    slices of one draw per process, redrawn only for a larger size.  They
+    are the even and odd draws of one stream, the same at every size."""
+    global _weights
+    if size > _weights.shape[1]:
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0xF1A75EED)))
+        w = gen.integers(1, 1 << 63, size=(max(size, 2 * _weights.shape[1]), 2),
+                         dtype=np.uint64)
+        _weights = (w | np.uint64(1)).T.copy()
+        _weights.flags.writeable = False
+    return _weights[0, :size], _weights[1, :size]
 
 
 def _block_rows(n_states: int) -> int:

@@ -86,6 +86,8 @@ def parse_fta(text: str) -> Fta:
                 f"alphabet entries look like name:rank, got {tok!r}", lineno
             )
         pairs.append((m.group("name"), int(m.group("rank"))))
+    if len(set(pairs)) != len(pairs):
+        raise ParseError("duplicate alphabet entry", lineno)
     try:
         alphabet = RankedAlphabet(frozenset(pairs))
     except Exception as err:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -249,6 +251,19 @@ def test_determinize_without_binary_symbols():
     assert dfta.subsets == (0b01, 0b11)
     assert dfta.nullary == {"alpha": 0, "beta": 1}
     assert dfta.binary == {} and dfta.finals == {1} and dfta.sink is None
+    assert dfta.dead == {0}
+
+
+def test_determinize_zero_state_source():
+    # The nullary image is the empty subset: one sink, paired with itself.
+    fta = _fta(Setting.A.alphabet, set(), set(), [])
+    dfta = determinize(fta)
+    assert dfta.subsets == (0,) and dfta.nullary == {"alpha": 0}
+    assert dfta.sink == 0 and dfta.dead == {0} and dfta.finals == frozenset()
+    table = dfta.binary["sigma"]
+    assert table.shape == (1, 1) and table.dtype == np.int32 and table[0, 0] == 0
+    assert not table.flags.writeable
+    assert canonical_size(fta) == 0
 
 
 def _same_dfta(a, b):
@@ -349,6 +364,26 @@ def test_determinize_budget_boundary(setting, n, seed):
     assert _same_dfta(determinize(fta, max_subsets=count), full)
 
 
+@pytest.mark.parametrize("setting, n, seed", [(Setting.B, 13, 8), (Setting.B, 11, 9)])
+def test_determinize_memory_shape(setting, n, seed):
+    # The tables are allocated once, at their final size, and filled one
+    # symbol at a time while that symbol's strips are freed; keeping every
+    # symbol's strips until the end, or growing the tables each round,
+    # peaks higher.
+    fta = _peak_fta(setting, n, seed)
+    tracemalloc.start()
+    try:
+        dfta = determinize(fta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = list(dfta.binary.values())
+    assert peak <= 1.75 * sum(table.nbytes for table in tables)
+    for table in tables:
+        assert table.flags.c_contiguous and table.dtype == np.int32
+        assert table.shape == (dfta.n_states, dfta.n_states)
+
+
 def test_determinize_budget_crossed_inside_a_block(monkeypatch):
     fta = _peak_fta(Setting.B, 9, 9)
     full = determinize(fta)
@@ -445,6 +480,21 @@ def test_minimize_collision_and_block_paths(monkeypatch, setting, n, seed):
         # Blocks of 7 rows, the last one partial.
         m.setattr(constructions, "_BLOCK_ENTRIES", 7 * dfta.n_states)
         assert _same_canonical(minimize(dfta), expected)
+
+
+def test_refinement_weights_are_one_cached_draw():
+    size = constructions._weights.shape[1] + 5
+    rows, cols = constructions._refinement_weights(size)
+    cached = constructions._weights
+    # A smaller size slices the same draw; a state's weights never change.
+    small_rows, small_cols = constructions._refinement_weights(3)
+    assert constructions._weights is cached
+    assert np.shares_memory(small_rows, cached) and np.shares_memory(small_cols, cached)
+    assert (small_rows == rows[:3]).all() and (small_cols == cols[:3]).all()
+    assert len(rows) == len(cols) == size and (rows & cols & 1).all()
+    assert not rows.flags.writeable and not cols.flags.writeable
+    bigger = constructions._refinement_weights(2 * size)
+    assert (bigger[0][:size] == rows).all() and (bigger[1][:size] == cols).all()
 
 
 def test_refine_keeps_old_blocks_apart():

@@ -105,6 +105,17 @@ def test_parse_duplicate_state_declaration():
         parse_fta("states 1 1\nfinals\nalphabet alpha:0\n")
 
 
+def test_parse_duplicate_alphabet_entry():
+    doc = "states 1\nfinals 1\nalphabet alpha:0 alpha:0 sigma:2\nalpha -> 1\n"
+    with pytest.raises(ParseError, match="duplicate alphabet entry") as info:
+        parse_fta(doc)
+    assert info.value.line == 3
+    # A repeated name with another rank is rejected on the same line.
+    with pytest.raises(ParseError, match="duplicate symbol name 'alpha'") as info:
+        parse_fta(doc.replace("alpha:0 alpha:0", "alpha:0 alpha:2"))
+    assert info.value.line == 3
+
+
 def test_parse_final_not_declared():
     with pytest.raises(ParseError):
         parse_fta("states 1\nfinals 2\nalphabet alpha:0\n")
