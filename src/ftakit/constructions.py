@@ -31,64 +31,13 @@ _SLOT_BITS = 20
 
 
 @dataclass(frozen=True, eq=False)
-class Dfta:
-    """A deterministic automaton whose states are subsets of a source automaton.
-
-    ``subsets[i]`` is a bit mask over ``source_states`` (bit k stands for
-    ``source_states[k]``), listed in discovery order.  ``binary[sym][i, j]``
-    is the successor index for symbol ``sym`` applied to subsets i and j; the
-    table is total over the discovered subsets, so determinism holds by
-    construction, and read-only, so ``minimize`` may share it.
-
-    ``dead`` holds the subsets that no context carries into acceptance.  A
-    context run on a subset gives the union of the source's runs from each
-    of its members, and the sibling subtrees of a context evaluate to
-    accessible subsets, which hold only reachable source states.  So a
-    subset is dead exactly when it holds no source state that is
-    co-reachable from the finals.  For a trim source ``dead`` is
-    ``{sink}``, or empty when there is no sink.
-    """
-
-    source_states: tuple[int, ...]
-    alphabet: RankedAlphabet
-    subsets: tuple[int, ...]
-    nullary: Mapping[str, int]
-    binary: Mapping[str, np.ndarray]
-    finals: frozenset[int]
-    sink: int | None
-    dead: frozenset[int]
-
-    @property
-    def n_states(self) -> int:
-        return len(self.subsets)
-
-    @property
-    def size(self) -> int:
-        """Number of subset states excluding the sink."""
-        return self.n_states - (1 if self.sink is not None else 0)
-
-    def subset_members(self, i: int) -> tuple[int, ...]:
-        """Original state identifiers contained in subset state ``i``."""
-        mask = self.subsets[i]
-        return tuple(q for k, q in enumerate(self.source_states) if (mask >> k) & 1)
-
-    def to_fta(self) -> Fta:
-        """Re-express the table as a plain automaton over subset indices.
-
-        Materializes all |binary| * n_states**2 rules; meant for small
-        instances (oracle tests, document output).
-        """
-        return _table_to_fta(self.alphabet, self.n_states, self.nullary,
-                             self.binary, self.finals)
-
-
-@dataclass(frozen=True, eq=False)
 class CanonicalFta:
-    """The minimal deterministic automaton for a language, up to isomorphism.
+    """A complete deterministic automaton as tables over states 0..n_states-1.
 
-    States are partition-block identifiers, numbered in order of first
-    appearance in the minimized table.  ``sink`` names the dead block (the
-    one no context carries into acceptance) when the language has one.
+    ``binary[sym][i, j]`` is the successor of states i and j; the tables are
+    total and read-only.  ``sink`` names the dead state (the one no context
+    carries into acceptance) when there is one.  ``minimize`` numbers the
+    minimal automaton's states in order of first appearance in its table.
     """
 
     alphabet: RankedAlphabet
@@ -100,28 +49,54 @@ class CanonicalFta:
 
     @property
     def size(self) -> int:
-        """Number of canonical states excluding the sink."""
+        """Number of states excluding the sink."""
         return self.n_states - (1 if self.sink is not None else 0)
 
     def to_fta(self) -> Fta:
-        return _table_to_fta(self.alphabet, self.n_states, self.nullary,
-                             self.binary, self.finals)
+        """Re-express the table as a plain automaton over state indices.
+
+        Materializes all |binary| * n_states**2 rules; meant for small
+        instances (oracle tests, document output).
+        """
+        states = range(self.n_states)
+        transitions = [Transition(sym, (), int(q)) for sym, q in self.nullary.items()]
+        transitions += [Transition(sym, (i, j), int(table[i, j]))
+                        for sym, table in self.binary.items()
+                        for i in states for j in states]
+        return Fta(states=frozenset(states), alphabet=self.alphabet,
+                   finals=frozenset(self.finals), transitions=frozenset(transitions))
 
 
-def _table_to_fta(alphabet, n_states, nullary, binary, finals) -> Fta:
-    transitions = []
-    for sym, target in nullary.items():
-        transitions.append(Transition(sym, (), int(target)))
-    for sym, table in binary.items():
-        for i in range(n_states):
-            for j in range(n_states):
-                transitions.append(Transition(sym, (i, j), int(table[i, j])))
-    return Fta(
-        states=frozenset(range(n_states)),
-        alphabet=alphabet,
-        finals=frozenset(finals),
-        transitions=frozenset(transitions),
-    )
+@dataclass(frozen=True, eq=False)
+class Dfta(CanonicalFta):
+    """The table that ``determinize`` builds: state i is a subset of a source
+    automaton's states, and ``n_states`` is the number of subsets.
+
+    ``subsets[i]`` is a bit mask over ``source_states`` (bit k stands for
+    ``source_states[k]``), listed in discovery order.  The tables are total
+    over the discovered subsets, so determinism holds by construction, and
+    read-only, so ``minimize`` may share them.
+
+    ``dead`` holds the subsets that no context carries into acceptance.  A
+    context run on a subset gives the union of the source's runs from each
+    of its members, and the sibling subtrees of a context evaluate to
+    accessible subsets, which hold only reachable source states.  So a
+    subset is dead exactly when it holds no source state that is
+    co-reachable from the finals.  For a trim source ``dead`` is
+    ``{sink}``, or empty when there is no sink.
+    """
+
+    source_states: tuple[int, ...]
+    subsets: tuple[int, ...]
+    dead: frozenset[int]
+
+    # An entry of its own: bench/spans.py times each class's vars()["to_fta"].
+    to_fta = CanonicalFta.to_fta
+
+    def subset_members(self, i: int) -> tuple[int, ...]:
+        """Original state identifiers contained in subset state ``i``."""
+        mask = self.subsets[i]
+        return tuple(q for k, q in enumerate(self.source_states) if (mask >> k) & 1)
 
 
 def _dense_ranks(*keys: np.ndarray) -> tuple[np.ndarray, int]:
@@ -354,13 +329,14 @@ def determinize(fta: Fta, *, max_subsets: int | None = None) -> Dfta:
     _, core = _trim_fixpoints(n, null_tg, a1, a2, tg, [pos[q] for q in fta.finals])
     live = sum(1 << k for k in np.flatnonzero(core).tolist())
     return Dfta(
-        source_states=src,
         alphabet=fta.alphabet,
-        subsets=masks,
+        n_states=len(masks),
         nullary=nullary_ids,
         binary=dict(zip(binary_syms, tables)),
         finals=frozenset(k for k, m in enumerate(masks) if m & fmask),
         sink=index.get(bytes(8 * n_words)),
+        source_states=src,
+        subsets=masks,
         dead=frozenset(k for k, m in enumerate(masks) if not m & live),
     )
 

@@ -135,7 +135,8 @@ class Fta:
             t if isinstance(t, Transition) else Transition(*t) for t in self.transitions
         ))
         for q in self.states:
-            if not isinstance(q, int) or q < 0 or q > MAX_STATE_ID:
+            # bool is an int subclass, and True would stand for state 1.
+            if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q <= MAX_STATE_ID:
                 raise InputError(f"state identifier {q!r} out of range")
         if not self.finals <= self.states:
             raise InputError("final states must be a subset of the states")

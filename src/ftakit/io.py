@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .core import Fta, RankedAlphabet, Transition
-from .errors import ParseError
+from .errors import InputError, ParseError
 
 _RULE_RE = re.compile(
     r"^(?P<sym>\w+)\s*(?:\((?P<args>[^)]*)\))?\s*->\s*(?P<target>-?\d+)$"
@@ -126,12 +126,13 @@ def parse_fta(text: str) -> Fta:
             raise ParseError(f"duplicate rule {line!r}", lineno)
         transitions.add(rule)
 
-    return Fta(
-        states=state_set,
-        alphabet=alphabet,
-        finals=frozenset(finals),
-        transitions=frozenset(transitions),
-    )
+    try:
+        return Fta(states=state_set, alphabet=alphabet, finals=frozenset(finals),
+                   transitions=frozenset(transitions))
+    except InputError as err:
+        # Every rule and final names a declared state, so only a state
+        # identifier out of range is left to reject.
+        raise ParseError(str(err), states_line[0]) from None
 
 
 def format_fta(fta: Fta, *, comments: list[str] | None = None) -> str:

@@ -1,9 +1,10 @@
-"""Exact language equality of a source automaton and a canonical one, kept
-apart from the library as a test oracle.
+"""Exact language equality of a source automaton and a deterministic table
+(``CanonicalFta``, or the ``Dfta`` that extends it), kept apart from the
+library as a test oracle.
 
-Every ground tree evaluates to one pair (canonical state, source subset):
-the canonical automaton is deterministic and complete, and the subset is the
-tree's evaluation in the source under the lifted map ``core.sigma_bar``.
+Every ground tree evaluates to one pair (table state, source subset): the
+table is deterministic and complete, and the subset is the tree's evaluation
+in the source under the lifted map ``core.sigma_bar``.
 The pairs of the nullary symbols, closed under every binary symbol, are
 exactly the pairs of all ground trees, so the two languages are equal iff
 every pair is final on both sides or on neither.  This closes the pairs by a
@@ -31,7 +32,7 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def language_mismatch(fta: Fta, canonical: CanonicalFta) -> tuple[int, frozenset[int]] | None:
-    """A pair (canonical state, source subset) of some ground tree that one
+    """A pair (table state, source subset) of some ground tree that one
     automaton accepts and the other rejects, or None when the languages are
     equal."""
     binary = fta.alphabet.binary

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from ftakit import (
     BudgetError,
+    CanonicalFta,
+    Dfta,
     Fta,
     GenConfig,
     InputError,
@@ -50,6 +52,9 @@ def _fta(alphabet, states, finals, rules):
 
 def test_determinize_example_table(example_fta):
     dfta = determinize(example_fta)
+    # One table type: the subset automaton adds its subsets to it.
+    assert issubclass(Dfta, CanonicalFta) and type(dfta) is Dfta
+    assert dfta.n_states == len(dfta.subsets) == 5
     members = {dfta.subset_members(i): i for i in range(dfta.n_states)}
     assert set(members) == {(0, 2), (1,), (1, 3), (3,), ()}
     s02, s1, s13, s3 = members[(0, 2)], members[(1,)], members[(1, 3)], members[(3,)]
@@ -568,6 +573,8 @@ def test_minimize_exact_check_calls(monkeypatch, setting, n, seed, checked):
 def test_minimize_identity_and_general_quotient(setting, n, seed, n_canonical):
     dfta = determinize(_peak_fta(setting, n, seed))
     canonical = minimize(dfta)
+    # No subset field leaks into the minimal table, not even on the identity path.
+    assert type(canonical) is CanonicalFta
     assert canonical.n_states == n_canonical
     _check_classes(dfta, canonical)
     assert not any(t.flags.writeable for t in canonical.binary.values())
@@ -739,6 +746,7 @@ def test_dead_subsets_match_reference(fta):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_trim_peak_ftas(7), _generated_ftas(7)))
 def test_pipeline_language_is_exact(fta):
+    assert language_mismatch(fta, determinize(fta)) is None
     assert language_mismatch(fta, minimize(determinize(fta))) is None
 
 
@@ -747,6 +755,7 @@ def test_pipeline_language_is_exact(fta):
 ])
 def test_pipeline_language_is_exact_at_peak(setting, n, seed):
     fta = _peak_fta(setting, n, seed)
+    assert language_mismatch(fta, determinize(fta)) is None
     assert language_mismatch(fta, minimize(determinize(fta))) is None
 
 

@@ -74,6 +74,13 @@ def test_fta_wraps_plain_tuples_as_transitions(ab_alphabet, example_fta):
                 finals=example_fta.finals, transitions=[bad])
 
 
+def test_fta_rejects_bool_state_ids(ab_alphabet):
+    # True == 1, so {True, 1} would otherwise collapse to one state.
+    for states in ({True}, {False, 2}):
+        with pytest.raises(InputError, match="out of range"):
+            Fta(states=states, alphabet=ab_alphabet, finals=frozenset(), transitions=())
+
+
 def test_evaluate_example(example_fta):
     for tree, expected in [(A, {0, 2}), (SAA, {1})]:
         result = evaluate(example_fta, tree)

@@ -16,6 +16,7 @@ from ftakit import (
     generate,
     parse_fta,
 )
+from ftakit import core
 
 
 def test_parse_example_document(example_doc, example_fta):
@@ -114,6 +115,16 @@ def test_parse_duplicate_alphabet_entry():
     with pytest.raises(ParseError, match="duplicate symbol name 'alpha'") as info:
         parse_fta(doc.replace("alpha:0 alpha:0", "alpha:0 alpha:2"))
     assert info.value.line == 3
+
+
+def test_parse_state_id_out_of_range():
+    for states in ("-1 2", str(core.MAX_STATE_ID + 1)):
+        doc = f"# ids\nstates {states}\nfinals\nalphabet alpha:0\n"
+        with pytest.raises(ParseError, match="out of range") as info:
+            parse_fta(doc)
+        assert info.value.line == 2
+    top = parse_fta(f"states 0 {core.MAX_STATE_ID}\nfinals\nalphabet alpha:0\n")
+    assert top.states == {0, core.MAX_STATE_ID}
 
 
 def test_parse_final_not_declared():

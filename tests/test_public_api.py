@@ -43,6 +43,7 @@ def test_retired_names_are_gone():
         assert not hasattr(ftakit, name), name
     assert not hasattr(ftakit.core, "StateSet")
     assert not hasattr(ftakit.Fta, "final_set")
+    assert not hasattr(ftakit.constructions, "_table_to_fta")
 
 
 def test_tree_is_a_ground_term():
