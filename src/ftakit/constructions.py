@@ -24,6 +24,10 @@ _BLOCK_ENTRIES = 1 << 16
 # Source states per lookup chunk: the members a subset has in one chunk
 # select one of 2**_CHUNK precomputed unions of images.
 _CHUNK = 6
+# Co-argument states that minimize's sampled hash passes read, spread evenly
+# over the states.  Only tables of more than 4 * _SAMPLE states take them:
+# on smaller ones a sampled pass is not much cheaper than a full one.
+_SAMPLE = 64
 # Low mask bits that index determinize's table of known subsets: at most
 # 2**20 int32 slots (4 MB).  Up to this many source states a slot stands for
 # exactly one subset.
@@ -453,10 +457,13 @@ def _same_profile(blk: np.ndarray, succ_tables: list[np.ndarray],
 
 
 def _profile_hashes(blk: np.ndarray, succ_tables: list[np.ndarray],
-                    w_row: np.ndarray, w_col: np.ndarray) -> np.ndarray:
+                    w_row: np.ndarray, w_col: np.ndarray,
+                    sample: np.ndarray | None = None) -> np.ndarray:
     """A 64-bit mixing hash of every state's successor-block profile, as
     either argument under every symbol, summed over blocks of table rows.
-    Equal profiles give equal hashes."""
+    Equal profiles give equal hashes.  With ``sample``, the profile only
+    covers those co-argument states: the row part sums over their columns,
+    the column part over their rows, with their weights."""
     n_states = len(blk)
     blk64 = blk.astype(np.uint64)
     acc = np.zeros(n_states, dtype=np.uint64)
@@ -464,10 +471,19 @@ def _profile_hashes(blk: np.ndarray, succ_tables: list[np.ndarray],
     for table in succ_tables:
         row_hash = np.empty(n_states, dtype=np.uint64)
         col_hash = np.zeros(n_states, dtype=np.uint64)
-        for a in range(0, n_states, step):
-            succ = np.take(blk64, table[a : a + step])
-            row_hash[a : a + step] = succ @ w_row
-            col_hash += w_col[a : a + step] @ succ
+        if sample is None:
+            for a in range(0, n_states, step):
+                succ = np.take(blk64, table[a : a + step])
+                row_hash[a : a + step] = succ @ w_row
+                col_hash += w_col[a : a + step] @ succ
+        else:
+            w_part, rows = w_row[sample], _block_rows(len(sample))
+            for a in range(0, n_states, rows):
+                succ = np.take(blk64, table[a : a + rows, sample])
+                row_hash[a : a + rows] = succ @ w_part
+            for a in range(0, len(sample), step):
+                part = sample[a : a + step]
+                col_hash += w_col[part] @ np.take(blk64, table[part])
         acc = acc * np.uint64(0xBF58476D1CE4E5B9) + row_hash
         acc = acc * np.uint64(0x94D049BB133111EB) + col_hash
     return acc
@@ -494,14 +510,21 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     under some symbol, argument position, and concrete co-argument, on the
     successor's block.
 
-    Refinement passes compare profiles through a 64-bit hash only.  Once a
-    pass splits nothing, one exact check compares each block's members with
-    its first state, the one the quotient keeps: if all agree, the partition
-    is a congruence, and since no pass separates equivalent states it is the
-    coarsest one.  A hash collision leaves a member that disagrees; its
-    block splits off the members that disagree, and the passes go on.  A
-    partition into singletons needs no check.  When nothing merges, the
-    quotient is the input, and shares its read-only tables.
+    Refinement passes compare profiles through a 64-bit hash only.  On more
+    than 4 * ``_SAMPLE`` states the first passes are sampled: a profile then
+    covers only ``_SAMPLE`` co-argument states spread over the table, so a
+    pass reads 2 * ``_SAMPLE`` rows' worth of each table.  Every partition
+    met during refinement is coarser than the coarsest congruence, so
+    equivalent states agree on every co-argument and no sampled pass
+    separates them.  Once a sampled pass splits nothing, passes over whole
+    tables follow.  Once one of those splits nothing, one exact check
+    compares each block's members with its first state, the one the
+    quotient keeps: if all agree, the partition is a congruence, and since
+    no pass separates equivalent states it is the coarsest one.  A hash
+    collision leaves a member that disagrees; its block splits off the
+    members that disagree, and the passes go on.  A partition into
+    singletons needs no check.  When nothing merges, the quotient is the
+    input, and shares its read-only tables.
 
     Refinement and the quotient read the tables in blocks of rows, so they
     hold no array of |states|**2 entries besides the input and output tables.
@@ -509,6 +532,9 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     The sink is the block of ``dfta.dead``, the subsets that hold no
     co-reachable source state; no table is read after the quotient.
     """
+    if not isinstance(dfta, Dfta):
+        raise InputError("minimize takes the Dfta that determinize returns, "
+                         f"not a {type(dfta).__name__}")
     n_states = dfta.n_states
     binary_syms = dfta.alphabet.binary
     succ_tables = [dfta.binary[sym] for sym in binary_syms]
@@ -518,16 +544,21 @@ def minimize(dfta: Dfta) -> CanonicalFta:
     # Through _refine, so block ids are dense even if every state is final.
     blk, n_blocks = _refine(np.zeros(n_states, dtype=np.int32), is_final)
     states = np.arange(n_states)
+    sample = (np.linspace(0, n_states - 1, _SAMPLE).astype(np.intp)
+              if n_states > 4 * _SAMPLE else None)
     while True:
         # Each block's first state, the one the quotient keeps.
         first = np.full(n_blocks, n_states)
         np.minimum.at(first, blk, states)
         if n_blocks == n_states:
             break
-        new_blk, new_count = _refine(blk, _profile_hashes(blk, succ_tables, *weights))
+        new_blk, new_count = _refine(blk, _profile_hashes(blk, succ_tables, *weights, sample))
         # The new partition refines blk, so an equal block count means the
-        # partition did not change: check it exactly.
+        # partition did not change: pass over whole tables, then check exactly.
         if new_count == n_blocks:
+            if sample is not None:
+                sample = None
+                continue
             ref = first[blk]
             rest = np.flatnonzero(ref != states)
             same = np.ones(n_states, dtype=bool)

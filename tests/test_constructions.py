@@ -453,6 +453,15 @@ def test_minimize_matches_reference(fta, data):
         # Every profile hashes alike, so the exact check makes every split.
         m.setattr(constructions, "_refinement_weights", _colliding_weights)
         assert _same_canonical(minimize(dfta), canonical)
+    with pytest.MonkeyPatch.context() as m:
+        # Past 4 states, sampled passes over state 0 come before the full ones.
+        m.setattr(constructions, "_SAMPLE", 1)
+        sampled = minimize(dfta)
+        _check_classes(dfta, sampled)
+        assert _same_canonical(sampled, canonical)
+        # Sampled passes then split nothing; the exact check makes every split.
+        m.setattr(constructions, "_refinement_weights", _colliding_weights)
+        assert _same_canonical(minimize(dfta), canonical)
     ids = data.draw(st.lists(st.integers(0, 60), min_size=fta.n, max_size=fta.n,
                              unique=True))
     renamed = _spread(fta, dict(zip(sorted(fta.states), ids)), ids)
@@ -563,6 +572,73 @@ def test_minimize_exact_check_calls(monkeypatch, setting, n, seed, checked):
     monkeypatch.setattr(constructions, "_same_profile", counted)
     minimize(dfta)
     assert calls == checked
+
+
+def _count_passes(monkeypatch):
+    """Record each hash pass as (sampled, blocks before it) and the number of
+    states each exact check compares."""
+    passes, checks = [], []
+    profile_hashes, same_profile = constructions._profile_hashes, constructions._same_profile
+
+    def hashes(blk, succ_tables, w_row, w_col, sample=None):
+        passes.append((sample is not None, len(np.unique(blk))))
+        return profile_hashes(blk, succ_tables, w_row, w_col, sample)
+
+    def same(blk, succ_tables, states, refs):
+        checks.append(len(states))
+        return same_profile(blk, succ_tables, states, refs)
+
+    monkeypatch.setattr(constructions, "_profile_hashes", hashes)
+    monkeypatch.setattr(constructions, "_same_profile", same)
+    return passes, checks
+
+
+# Peak instances of 1624 and 867 states that merge nothing: sampled passes
+# reach singletons, so no pass reads a whole table and nothing is checked.
+@pytest.mark.parametrize("setting, n, seed", [(Setting.B, 13, 8), (Setting.B, 11, 9)])
+def test_minimize_sampled_passes_reach_singletons(monkeypatch, setting, n, seed):
+    dfta = determinize(_peak_fta(setting, n, seed))
+    assert dfta.n_states > 4 * constructions._SAMPLE
+    passes, checks = _count_passes(monkeypatch)
+    assert minimize(dfta).n_states == dfta.n_states
+    assert passes and all(sampled for sampled, _ in passes)
+    assert checks == []
+
+
+def test_minimize_sampled_stage_then_full_passes(monkeypatch):
+    # 87 states merge into 61: the sampled stage stops short of that, the
+    # full passes finish the refinement, and the exact check confirms it.
+    dfta = determinize(_peak_fta(Setting.A, 8, 23))
+    monkeypatch.setattr(constructions, "_SAMPLE", 8)
+    passes, checks = _count_passes(monkeypatch)
+    assert minimize(dfta).n_states == 61
+    kinds = [sampled for sampled, _ in passes]
+    n_sampled = kinds.index(False)
+    assert n_sampled > 0 and not any(kinds[n_sampled:])
+    # The last sampled pass split nothing, short of singletons.
+    assert passes[n_sampled - 1][1] == passes[n_sampled][1] < dfta.n_states
+    assert checks == [26]
+
+
+@pytest.mark.parametrize("setting, n, seed", [(Setting.A, 10, 8), (Setting.B, 9, 9)])
+def test_sampled_hash_over_every_state_is_the_full_hash(monkeypatch, setting, n, seed):
+    dfta = determinize(_peak_fta(setting, n, seed))
+    n_states = dfta.n_states
+    tables = [dfta.binary[sym] for sym in dfta.alphabet.binary]
+    weights = constructions._refinement_weights(n_states)
+    everyone = np.arange(n_states)
+    rng = np.random.default_rng(seed)
+    # Default blocks, then blocks of 7 rows that split the sample.
+    for entries in (constructions._BLOCK_ENTRIES, 7 * n_states):
+        monkeypatch.setattr(constructions, "_BLOCK_ENTRIES", entries)
+        for n_blocks in (1, 2, 5, n_states):
+            blk = rng.integers(0, n_blocks, n_states).astype(np.int32)
+            full = constructions._profile_hashes(blk, tables, *weights)
+            sampled = constructions._profile_hashes(blk, tables, *weights, everyone)
+            assert np.array_equal(full, sampled)
+            new_blk, count = constructions._refine(blk, full)
+            sampled_blk, sampled_count = constructions._refine(blk, sampled)
+            assert count == sampled_count and np.array_equal(new_blk, sampled_blk)
 
 
 # Golden peak instances: no two subset states merge in the first two (255
@@ -684,6 +760,13 @@ def test_minimize_merges_equivalent_finals():
                  + [("sigma", (p, q), 1) for p in (1, 2) for q in (1, 2)])
     assert determinize(total).finals == {0, 1}
     assert minimize(determinize(total)).size == 1
+
+
+def test_minimize_rejects_a_canonical_table(example_fta):
+    # A minimal table has no dead subsets to find the sink by.
+    canonical = minimize(determinize(example_fta))
+    with pytest.raises(InputError, match="determinize"):
+        minimize(canonical)
 
 
 def test_minimize_rejects_distinct_dead_states(ab_alphabet, monkeypatch):
